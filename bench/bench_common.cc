@@ -120,6 +120,13 @@ std::vector<std::unique_ptr<UdaScheme>> MakeSchemes(size_t cut_layer) {
   return schemes;
 }
 
+std::vector<std::string> SchemeNames(
+    const std::vector<std::unique_ptr<UdaScheme>>& schemes) {
+  std::vector<std::string> names = {"TASFAR"};
+  for (const auto& scheme : schemes) names.push_back(scheme->name());
+  return names;
+}
+
 void RunRteReductionBench(bool seen_group, const std::string& figure_id) {
   PrintHeader(figure_id,
               std::string("RTE reduction over test trajectories, ") +
@@ -128,10 +135,9 @@ void RunRteReductionBench(bool seen_group, const std::string& figure_id) {
   harness.Prepare();
   auto schemes = MakeSchemes(PdrModelCutLayer());
 
-  const char* names[] = {"TASFAR", "MMD*",   "ADV*",
-                         "AUGfree", "Datafree", "U-SFDA", "UPL"};
+  const std::vector<std::string> names = SchemeNames(schemes);
   // Per-trajectory reductions, metres, one bucket per scheme.
-  std::vector<std::vector<double>> reductions(1 + schemes.size());
+  std::vector<std::vector<double>> reductions(names.size());
   for (const PdrUserData& user : harness.users()) {
     if (user.profile.seen != seen_group) continue;
     PdrUserCache cache = harness.BuildUserCache(user);

@@ -33,6 +33,11 @@ TabularHarnessConfig PaperTaxiConfig();
 /// MMD, ADV, AUGfree, Datafree, U-SFDA, UPL.
 std::vector<std::unique_ptr<UdaScheme>> MakeSchemes(size_t cut_layer);
 
+/// Row labels for a TASFAR-then-schemes comparison: "TASFAR" followed by
+/// each scheme's UdaScheme::name(), in order.
+std::vector<std::string> SchemeNames(
+    const std::vector<std::unique_ptr<UdaScheme>>& schemes);
+
 /// Shared implementation of Figs. 17/18: RTE-reduction distribution over
 /// the test trajectories of one user group (seen or unseen), all schemes.
 void RunRteReductionBench(bool seen_group, const std::string& figure_id);

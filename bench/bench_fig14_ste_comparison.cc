@@ -18,11 +18,13 @@ void Run() {
   harness.Prepare();
   auto schemes = MakeSchemes(PdrModelCutLayer());
 
-  TablePrinter table({"user", "TASFAR", "MMD*", "ADV*", "AUGfree",
-                      "Datafree", "U-SFDA", "UPL"});
+  const std::vector<std::string> names = SchemeNames(schemes);
+  std::vector<std::string> header = {"user"};
+  header.insert(header.end(), names.begin(), names.end());
+  TablePrinter table(header);
   CsvWriter csv;
   csv.SetHeader({"user", "scheme", "ste_reduction_pct"});
-  std::vector<std::vector<double>> reductions(1 + schemes.size());
+  std::vector<std::vector<double>> reductions(names.size());
 
   for (const PdrUserData& user : harness.users()) {
     if (!user.profile.seen) continue;
@@ -36,10 +38,7 @@ void Run() {
       row.push_back(metrics::ReductionPercent(eval.ste_adapt_before,
                                               eval.ste_adapt_after));
     }
-    // MakeSchemes order: MMD, ADV, AUGfree, Datafree, U-SFDA, UPL.
     table.AddRow("user " + std::to_string(user.profile.id), row, 1);
-    const char* names[] = {"TASFAR",   "MMD",    "ADV", "AUGfree",
-                           "Datafree", "U-SFDA", "UPL"};
     for (size_t s = 0; s < row.size(); ++s) {
       reductions[s].push_back(row[s]);
       csv.AddRow({std::to_string(user.profile.id), names[s],
@@ -52,7 +51,8 @@ void Run() {
   table.Print();
   WriteCsv("fig14_ste_comparison", csv);
   std::printf(
-      "\n(* = source-based UDA, uses source data at adaptation time)\n"
+      "\n(MMD and ADV are source-based UDA: they use source data at "
+      "adaptation time)\n"
       "Paper: TASFAR ~13.6%% mean reduction, comparable to MMD/ADV; "
       "AUGfree\nand Datafree are near zero. Reproduced: TASFAR mean %.1f%% "
       "vs MMD\n%.1f%% / ADV %.1f%%, AUGfree %.1f%% / Datafree %.1f%%, "

@@ -17,9 +17,9 @@ void Run() {
   harness.Prepare();
   auto schemes = MakeSchemes(PdrModelCutLayer());
 
-  const char* names[] = {"TASFAR",   "MMD*",   "ADV*", "AUGfree",
-                         "Datafree", "U-SFDA", "UPL"};
-  std::vector<std::vector<double>> adapt_red(5), test_red(5);
+  const std::vector<std::string> names = SchemeNames(schemes);
+  std::vector<std::vector<double>> adapt_red(names.size()),
+      test_red(names.size());
   for (const PdrUserData& user : harness.users()) {
     if (!user.profile.seen) continue;
     PdrUserCache cache = harness.BuildUserCache(user);
@@ -39,7 +39,7 @@ void Run() {
   TablePrinter table({"scheme", "adaptation set (%)", "test set (%)"});
   CsvWriter csv;
   csv.SetHeader({"scheme", "adapt_reduction_pct", "test_reduction_pct"});
-  for (size_t s = 0; s < 5; ++s) {
+  for (size_t s = 0; s < names.size(); ++s) {
     const double a = stats::Mean(adapt_red[s]);
     const double t = stats::Mean(test_red[s]);
     table.AddRow(names[s], {a, t}, 1);

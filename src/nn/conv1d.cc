@@ -1,8 +1,11 @@
 #include "nn/conv1d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
+#include "nn/conv_taps.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -37,6 +40,18 @@ size_t Conv1d::OutputLength(size_t t) const {
   return (t + 2 * padding_ - effective) / stride_ + 1;
 }
 
+// Direct convolution on raw pointers. Both passes keep the per-element
+// floating-point summation order of the naive one-multiply-add-per-tap
+// loop nest, so results are byte-identical to it (the reference in
+// tests/nn/conv_property_test.cc):
+//   * out[b, oc, to] starts from bias[oc] and adds its in-range taps in
+//     (ic, k) order;
+//   * grad_weight[oc, ic, k] and grad_bias[oc] accumulate in (b, to) order,
+//     skipping zero upstream gradients;
+//   * grad_input[b, ic, ti] receives its contributions oc-major, then in
+//     ascending `to`.
+// Parameters and the cached input are read through const views, so
+// buffers shared with Clone()d replicas are never detached (docs/MEMORY.md).
 Tensor Conv1d::Forward(const Tensor& input, bool /*training*/) {
   TASFAR_CHECK_MSG(input.rank() == 3 && input.dim(1) == in_channels_,
                    "Conv1d expects a {batch, in_channels, time} input");
@@ -48,20 +63,34 @@ Tensor Conv1d::Forward(const Tensor& input, bool /*training*/) {
   // is safe.
   Tensor out =
       Workspace::ThreadLocal().NewTensor({batch, out_channels_, t_out});
+  const double* x = input.data();
+  const double* w = std::as_const(weight_).data();
+  const double* bias = std::as_const(bias_).data();
+  double* y = out.data();
   for (size_t b = 0; b < batch; ++b) {
+    double* y_b = y + b * out_channels_ * t_out;
     for (size_t oc = 0; oc < out_channels_; ++oc) {
-      for (size_t to = 0; to < t_out; ++to) {
-        double acc = bias_[oc];
-        for (size_t ic = 0; ic < in_channels_; ++ic) {
-          for (size_t k = 0; k < kernel_size_; ++k) {
-            const long ti = static_cast<long>(to * stride_ + k * dilation_) -
-                            static_cast<long>(padding_);
-            if (ti < 0 || ti >= static_cast<long>(t_in)) continue;
-            acc += weight_.At(oc, ic, k) *
-                   input.At(b, ic, static_cast<size_t>(ti));
+      std::fill_n(y_b + oc * t_out, t_out, bias[oc]);
+    }
+    // Taps are added in (ic, k) order to every output row of sample b.
+    for (size_t ic = 0; ic < in_channels_; ++ic) {
+      const double* x_row = x + (b * in_channels_ + ic) * t_in;
+      for (size_t k = 0; k < kernel_size_; ++k) {
+        const long shift = static_cast<long>(k * dilation_) -
+                           static_cast<long>(padding_);
+        const detail::IndexRange steps =
+            detail::InBoundsRange(shift, stride_, t_in, t_out);
+        if (steps.lo == steps.hi) continue;
+        // First in-range input sample; `to` advances it by stride_.
+        const double* x_tap = x_row + static_cast<size_t>(
+            static_cast<long>(steps.lo * stride_) + shift);
+        for (size_t oc = 0; oc < out_channels_; ++oc) {
+          const double wv = w[(oc * in_channels_ + ic) * kernel_size_ + k];
+          double* y_row = y_b + oc * t_out;
+          for (size_t to = steps.lo; to < steps.hi; ++to) {
+            y_row[to] += wv * x_tap[(to - steps.lo) * stride_];
           }
         }
-        out.At(b, oc, to) = acc;
       }
     }
   }
@@ -79,20 +108,38 @@ Tensor Conv1d::Backward(const Tensor& grad_output) {
   // grad_input accumulates (+=), so it must start zeroed.
   Tensor grad_input =
       Workspace::ThreadLocal().ZeroTensor(cached_input_.shape());
+  const double* x = std::as_const(cached_input_).data();
+  const double* w = std::as_const(weight_).data();
+  const double* g = grad_output.data();
+  double* gx = grad_input.data();
+  double* gw = grad_weight_.data();
+  double* gb = grad_bias_.data();
+  const size_t filter = in_channels_ * kernel_size_;
   for (size_t b = 0; b < batch; ++b) {
     for (size_t oc = 0; oc < out_channels_; ++oc) {
+      const double* g_row = g + (b * out_channels_ + oc) * t_out;
+      const double* w_oc = w + oc * filter;
+      double* gw_oc = gw + oc * filter;
+      // `to` stays outside `k`: for a fixed input sample, contributions
+      // must arrive in ascending `to`, and looping k outside would reverse
+      // them.
       for (size_t to = 0; to < t_out; ++to) {
-        const double go = grad_output.At(b, oc, to);
+        const double go = g_row[to];
         if (go == 0.0) continue;
-        grad_bias_[oc] += go;
+        gb[oc] += go;
+        const long start = static_cast<long>(to * stride_) -
+                           static_cast<long>(padding_);
+        const detail::IndexRange taps =
+            detail::InBoundsRange(start, dilation_, t_in, kernel_size_);
         for (size_t ic = 0; ic < in_channels_; ++ic) {
-          for (size_t k = 0; k < kernel_size_; ++k) {
-            const long ti = static_cast<long>(to * stride_ + k * dilation_) -
-                            static_cast<long>(padding_);
-            if (ti < 0 || ti >= static_cast<long>(t_in)) continue;
-            const size_t tiu = static_cast<size_t>(ti);
-            grad_weight_.At(oc, ic, k) += go * cached_input_.At(b, ic, tiu);
-            grad_input.At(b, ic, tiu) += go * weight_.At(oc, ic, k);
+          const size_t row = (b * in_channels_ + ic) * t_in;
+          const double* w_k = w_oc + ic * kernel_size_;
+          double* gw_k = gw_oc + ic * kernel_size_;
+          for (size_t k = taps.lo; k < taps.hi; ++k) {
+            const size_t ti = row + static_cast<size_t>(
+                start + static_cast<long>(k * dilation_));
+            gw_k[k] += go * x[ti];
+            gx[ti] += go * w_k[k];
           }
         }
       }

@@ -1,9 +1,12 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
+#include "nn/conv_taps.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
 
@@ -37,6 +40,14 @@ size_t Conv2d::OutputExtent(size_t n) const {
   return (n + 2 * padding_ - kernel_size_) / stride_ + 1;
 }
 
+// Direct convolution on raw pointers, order-preserving like Conv1d's
+// (conv1d.cc): out[b, oc, ho, wo] starts from bias[oc] and adds its
+// in-range taps in (ic, kh, kw) order; grad_weight and grad_bias accumulate
+// in (b, ho, wo) order, skipping zero upstream gradients; grad_input
+// receives its contributions oc-major, then in ascending (ho, wo). The
+// results are byte-identical to the naive loop nest (the reference in
+// tests/nn/conv_property_test.cc). Parameters and the cached input are
+// read through const views.
 Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
   TASFAR_CHECK_MSG(input.rank() == 4 && input.dim(1) == in_channels_,
                    "Conv2d expects a {batch, in_channels, h, w} input");
@@ -44,31 +55,51 @@ Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
   const size_t batch = input.dim(0);
   const size_t h_in = input.dim(2), w_in = input.dim(3);
   const size_t h_out = OutputExtent(h_in), w_out = OutputExtent(w_in);
+  const size_t plane_in = h_in * w_in, plane_out = h_out * w_out;
+  const size_t kk = kernel_size_ * kernel_size_;
   // Every element is assigned below; uninitialized workspace contents are
   // safe.
   Tensor out = Workspace::ThreadLocal().NewTensor(
       {batch, out_channels_, h_out, w_out});
+  const double* x = input.data();
+  const double* w = std::as_const(weight_).data();
+  const double* bias = std::as_const(bias_).data();
+  double* y = out.data();
   for (size_t b = 0; b < batch; ++b) {
+    double* y_b = y + b * out_channels_ * plane_out;
     for (size_t oc = 0; oc < out_channels_; ++oc) {
-      for (size_t ho = 0; ho < h_out; ++ho) {
-        for (size_t wo = 0; wo < w_out; ++wo) {
-          double acc = bias_[oc];
-          for (size_t ic = 0; ic < in_channels_; ++ic) {
-            for (size_t kh = 0; kh < kernel_size_; ++kh) {
-              const long hi = static_cast<long>(ho * stride_ + kh) -
-                              static_cast<long>(padding_);
-              if (hi < 0 || hi >= static_cast<long>(h_in)) continue;
-              for (size_t kw = 0; kw < kernel_size_; ++kw) {
-                const long wi = static_cast<long>(wo * stride_ + kw) -
-                                static_cast<long>(padding_);
-                if (wi < 0 || wi >= static_cast<long>(w_in)) continue;
-                acc += weight_.At(oc, ic, kh, kw) *
-                       input.At(b, ic, static_cast<size_t>(hi),
-                                static_cast<size_t>(wi));
+      std::fill_n(y_b + oc * plane_out, plane_out, bias[oc]);
+    }
+    // Taps are added in (ic, kh, kw) order to every output plane of b.
+    for (size_t ic = 0; ic < in_channels_; ++ic) {
+      const double* x_plane = x + (b * in_channels_ + ic) * plane_in;
+      for (size_t kh = 0; kh < kernel_size_; ++kh) {
+        const long h_shift =
+            static_cast<long>(kh) - static_cast<long>(padding_);
+        const detail::IndexRange rows =
+            detail::InBoundsRange(h_shift, stride_, h_in, h_out);
+        for (size_t kw = 0; kw < kernel_size_; ++kw) {
+          const long w_shift =
+              static_cast<long>(kw) - static_cast<long>(padding_);
+          const detail::IndexRange cols =
+              detail::InBoundsRange(w_shift, stride_, w_in, w_out);
+          if (rows.lo == rows.hi || cols.lo == cols.hi) continue;
+          const size_t wi0 = static_cast<size_t>(
+              static_cast<long>(cols.lo * stride_) + w_shift);
+          for (size_t oc = 0; oc < out_channels_; ++oc) {
+            const double wv =
+                w[(oc * in_channels_ + ic) * kk + kh * kernel_size_ + kw];
+            double* y_plane = y_b + oc * plane_out;
+            for (size_t ho = rows.lo; ho < rows.hi; ++ho) {
+              const size_t hi = static_cast<size_t>(
+                  static_cast<long>(ho * stride_) + h_shift);
+              const double* x_tap = x_plane + hi * w_in + wi0;
+              double* y_row = y_plane + ho * w_out;
+              for (size_t wo = cols.lo; wo < cols.hi; ++wo) {
+                y_row[wo] += wv * x_tap[(wo - cols.lo) * stride_];
               }
             }
           }
-          out.At(b, oc, ho, wo) = acc;
         }
       }
     }
@@ -84,31 +115,49 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   TASFAR_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == batch &&
                grad_output.dim(1) == out_channels_ &&
                grad_output.dim(2) == h_out && grad_output.dim(3) == w_out);
+  const size_t plane_in = h_in * w_in;
+  const size_t kk = kernel_size_ * kernel_size_;
+  const size_t filter = in_channels_ * kk;
   // grad_input accumulates (+=), so it must start zeroed.
   Tensor grad_input =
       Workspace::ThreadLocal().ZeroTensor(cached_input_.shape());
+  const double* x = std::as_const(cached_input_).data();
+  const double* w = std::as_const(weight_).data();
+  const double* g = grad_output.data();
+  double* gx = grad_input.data();
+  double* gw = grad_weight_.data();
+  double* gb = grad_bias_.data();
   for (size_t b = 0; b < batch; ++b) {
     for (size_t oc = 0; oc < out_channels_; ++oc) {
+      const double* g_plane = g + (b * out_channels_ + oc) * h_out * w_out;
+      const double* w_oc = w + oc * filter;
+      double* gw_oc = gw + oc * filter;
       for (size_t ho = 0; ho < h_out; ++ho) {
+        const long h_start = static_cast<long>(ho * stride_) -
+                             static_cast<long>(padding_);
+        const detail::IndexRange kh_taps =
+            detail::InBoundsRange(h_start, 1, h_in, kernel_size_);
         for (size_t wo = 0; wo < w_out; ++wo) {
-          const double go = grad_output.At(b, oc, ho, wo);
+          const double go = g_plane[ho * w_out + wo];
           if (go == 0.0) continue;
-          grad_bias_[oc] += go;
+          gb[oc] += go;
+          const long w_start = static_cast<long>(wo * stride_) -
+                               static_cast<long>(padding_);
+          const detail::IndexRange kw_taps =
+              detail::InBoundsRange(w_start, 1, w_in, kernel_size_);
           for (size_t ic = 0; ic < in_channels_; ++ic) {
-            for (size_t kh = 0; kh < kernel_size_; ++kh) {
-              const long hi = static_cast<long>(ho * stride_ + kh) -
-                              static_cast<long>(padding_);
-              if (hi < 0 || hi >= static_cast<long>(h_in)) continue;
-              for (size_t kw = 0; kw < kernel_size_; ++kw) {
-                const long wi = static_cast<long>(wo * stride_ + kw) -
-                                static_cast<long>(padding_);
-                if (wi < 0 || wi >= static_cast<long>(w_in)) continue;
-                const size_t hiu = static_cast<size_t>(hi);
-                const size_t wiu = static_cast<size_t>(wi);
-                grad_weight_.At(oc, ic, kh, kw) +=
-                    go * cached_input_.At(b, ic, hiu, wiu);
-                grad_input.At(b, ic, hiu, wiu) +=
-                    go * weight_.At(oc, ic, kh, kw);
+            const size_t plane = (b * in_channels_ + ic) * plane_in;
+            for (size_t kh = kh_taps.lo; kh < kh_taps.hi; ++kh) {
+              const size_t row =
+                  plane + static_cast<size_t>(h_start +
+                                              static_cast<long>(kh)) *
+                              w_in;
+              const size_t tap = ic * kk + kh * kernel_size_;
+              for (size_t kw = kw_taps.lo; kw < kw_taps.hi; ++kw) {
+                const size_t xi = row + static_cast<size_t>(
+                    w_start + static_cast<long>(kw));
+                gw_oc[tap + kw] += go * x[xi];
+                gx[xi] += go * w_oc[tap + kw];
               }
             }
           }

@@ -29,6 +29,9 @@ Tensor LayerNorm::Forward(const Tensor& input, bool /*training*/) {
   cached_normalized_ = ws.NewTensor(input.shape());
   cached_inv_std_.assign(batch, 0.0);
   Tensor out = ws.NewTensor(input.shape());
+  // Const views: reads must not detach parameters shared with clones.
+  const Tensor& gain = gain_;
+  const Tensor& bias = bias_;
   for (size_t i = 0; i < batch; ++i) {
     double mean = 0.0;
     for (size_t j = 0; j < features_; ++j) mean += input.At(i, j);
@@ -44,7 +47,7 @@ Tensor LayerNorm::Forward(const Tensor& input, bool /*training*/) {
     for (size_t j = 0; j < features_; ++j) {
       const double norm = (input.At(i, j) - mean) * inv_std;
       cached_normalized_.At(i, j) = norm;
-      out.At(i, j) = gain_[j] * norm + bias_[j];
+      out.At(i, j) = gain[j] * norm + bias[j];
     }
   }
   return out;
@@ -56,21 +59,23 @@ Tensor LayerNorm::Backward(const Tensor& grad_output) {
   const size_t batch = grad_output.dim(0);
   const double n = static_cast<double>(features_);
   Tensor grad_input = Workspace::ThreadLocal().NewTensor(grad_output.shape());
+  const Tensor& gain = gain_;
+  const Tensor& normalized = cached_normalized_;
   for (size_t i = 0; i < batch; ++i) {
     // d loss / d x̂ and the two reduction terms of the layer-norm backward.
     double sum_g = 0.0, sum_gx = 0.0;
     for (size_t j = 0; j < features_; ++j) {
-      const double g_norm = grad_output.At(i, j) * gain_[j];
+      const double g_norm = grad_output.At(i, j) * gain[j];
       sum_g += g_norm;
-      sum_gx += g_norm * cached_normalized_.At(i, j);
-      grad_gain_[j] += grad_output.At(i, j) * cached_normalized_.At(i, j);
+      sum_gx += g_norm * normalized.At(i, j);
+      grad_gain_[j] += grad_output.At(i, j) * normalized.At(i, j);
       grad_bias_[j] += grad_output.At(i, j);
     }
     for (size_t j = 0; j < features_; ++j) {
-      const double g_norm = grad_output.At(i, j) * gain_[j];
+      const double g_norm = grad_output.At(i, j) * gain[j];
       grad_input.At(i, j) =
           cached_inv_std_[i] *
-          (g_norm - sum_g / n - cached_normalized_.At(i, j) * sum_gx / n);
+          (g_norm - sum_g / n - normalized.At(i, j) * sum_gx / n);
     }
   }
   return grad_input;

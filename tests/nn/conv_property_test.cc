@@ -1,8 +1,14 @@
 // Property-style checks of the convolutions against naive reference
-// implementations across stride/padding/dilation combinations.
+// implementations across stride/padding/dilation combinations, plus
+// byte-exact checks against the original one-At()-per-multiply-add loop
+// nests, which pin the per-element floating-point summation order the
+// direct kernels must keep (the double golden path is byte-identical).
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "nn/conv1d.h"
@@ -148,6 +154,288 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(param_info.param)) + "k" +
              std::to_string(std::get<2>(param_info.param));
     });
+
+// --- Byte-exact order references ------------------------------------------
+//
+// RefConv{1,2}d{Forward,Backward} are verbatim copies of the original layer
+// loop nests: every output starts from its bias and adds taps in (ic, k...)
+// order; every gradient element accumulates in (b, output position) order,
+// skipping zero upstream gradients. A reordered sum changes low-order bits,
+// which EXPECT_NEAR cannot see but memcmp can.
+
+void ExpectSameBytes(const Tensor& got, const Tensor& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0)
+      << what << ": max |diff| = " << got.MaxAbsDiff(want);
+}
+
+/// Random upstream gradient with every third entry exactly zero, so the
+/// `go == 0` skip is exercised.
+Tensor SparseGradient(const std::vector<size_t>& shape, Rng* rng) {
+  Tensor g = Tensor::RandomNormal(shape, rng);
+  for (size_t i = 0; i < g.size(); i += 3) g[i] = 0.0;
+  return g;
+}
+
+Tensor RefConv1dForward(const Tensor& input, const Tensor& weight,
+                        const Tensor& bias, size_t stride, size_t padding,
+                        size_t dilation) {
+  const size_t batch = input.dim(0), in_channels = input.dim(1);
+  const size_t t_in = input.dim(2);
+  const size_t out_channels = weight.dim(0), kernel_size = weight.dim(2);
+  const size_t t_out =
+      (t_in + 2 * padding - (dilation * (kernel_size - 1) + 1)) / stride + 1;
+  Tensor out({batch, out_channels, t_out});
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t oc = 0; oc < out_channels; ++oc) {
+      for (size_t to = 0; to < t_out; ++to) {
+        double acc = bias[oc];
+        for (size_t ic = 0; ic < in_channels; ++ic) {
+          for (size_t k = 0; k < kernel_size; ++k) {
+            const long ti = static_cast<long>(to * stride + k * dilation) -
+                            static_cast<long>(padding);
+            if (ti < 0 || ti >= static_cast<long>(t_in)) continue;
+            acc += weight.At(oc, ic, k) *
+                   input.At(b, ic, static_cast<size_t>(ti));
+          }
+        }
+        out.At(b, oc, to) = acc;
+      }
+    }
+  }
+  return out;
+}
+
+/// Accumulates onto *grad_weight / *grad_bias and returns grad_input.
+Tensor RefConv1dBackward(const Tensor& input, const Tensor& weight,
+                         const Tensor& grad_output, size_t stride,
+                         size_t padding, size_t dilation, Tensor* grad_weight,
+                         Tensor* grad_bias) {
+  const size_t batch = input.dim(0), in_channels = input.dim(1);
+  const size_t t_in = input.dim(2);
+  const size_t out_channels = weight.dim(0), kernel_size = weight.dim(2);
+  const size_t t_out = grad_output.dim(2);
+  Tensor grad_input(input.shape());
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t oc = 0; oc < out_channels; ++oc) {
+      for (size_t to = 0; to < t_out; ++to) {
+        const double go = grad_output.At(b, oc, to);
+        if (go == 0.0) continue;
+        (*grad_bias)[oc] += go;
+        for (size_t ic = 0; ic < in_channels; ++ic) {
+          for (size_t k = 0; k < kernel_size; ++k) {
+            const long ti = static_cast<long>(to * stride + k * dilation) -
+                            static_cast<long>(padding);
+            if (ti < 0 || ti >= static_cast<long>(t_in)) continue;
+            const size_t tiu = static_cast<size_t>(ti);
+            grad_weight->At(oc, ic, k) += go * input.At(b, ic, tiu);
+            grad_input.At(b, ic, tiu) += go * weight.At(oc, ic, k);
+          }
+        }
+      }
+    }
+  }
+  return grad_input;
+}
+
+struct Conv1dCase {
+  const char* name;
+  size_t in_channels, out_channels, kernel, stride, padding, dilation;
+  size_t batch, t_in;
+};
+
+// Names the case in gtest output (the default dumps the struct's bytes,
+// including the name pointer).
+void PrintTo(const Conv1dCase& c, std::ostream* os) { *os << c.name; }
+
+class Conv1dByteExactTest : public ::testing::TestWithParam<Conv1dCase> {};
+
+TEST_P(Conv1dByteExactTest, ForwardAndBackwardMatchReferenceBytes) {
+  const Conv1dCase& c = GetParam();
+  Rng rng(c.in_channels * 1000 + c.kernel * 100 + c.padding * 10 + c.stride);
+  Conv1d conv(c.in_channels, c.out_channels, c.kernel, &rng, c.stride,
+              c.padding, c.dilation);
+  const Tensor x = Tensor::RandomNormal({c.batch, c.in_channels, c.t_in},
+                                        &rng);
+  const Tensor w = *conv.Params()[0];
+  const Tensor b = *conv.Params()[1];
+
+  const Tensor y = conv.Forward(x, /*training=*/true);
+  ExpectSameBytes(y, RefConv1dForward(x, w, b, c.stride, c.padding,
+                                      c.dilation),
+                  "forward");
+
+  // Parameter gradients accumulate onto nonzero prior values.
+  Tensor ref_gw = Tensor::RandomNormal(w.shape(), &rng);
+  Tensor ref_gb = Tensor::RandomNormal(b.shape(), &rng);
+  CopyInto(ref_gw, conv.Grads()[0]);
+  CopyInto(ref_gb, conv.Grads()[1]);
+  const Tensor g = SparseGradient(y.shape(), &rng);
+  const Tensor gi = conv.Backward(g);
+  const Tensor ref_gi = RefConv1dBackward(x, w, g, c.stride, c.padding,
+                                          c.dilation, &ref_gw, &ref_gb);
+  ExpectSameBytes(gi, ref_gi, "grad_input");
+  ExpectSameBytes(*conv.Grads()[0], ref_gw, "grad_weight");
+  ExpectSameBytes(*conv.Grads()[1], ref_gb, "grad_bias");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Conv1dByteExactTest,
+    ::testing::Values(
+        // The stride/padding/dilation/kernel sweep above.
+        Conv1dCase{"s1p0d1k3", 3, 2, 3, 1, 0, 1, 2, 12},
+        Conv1dCase{"s1p1d1k3", 3, 2, 3, 1, 1, 1, 2, 12},
+        Conv1dCase{"s2p0d1k3", 3, 2, 3, 2, 0, 1, 2, 12},
+        Conv1dCase{"s1p2d2k3", 3, 2, 3, 1, 2, 2, 2, 12},
+        Conv1dCase{"s2p2d2k5", 3, 2, 5, 2, 2, 2, 2, 12},
+        Conv1dCase{"s1p0d3k2", 3, 2, 2, 1, 0, 3, 2, 12},
+        Conv1dCase{"s3p1d1k4", 3, 2, 4, 3, 1, 1, 2, 12},
+        // The two BuildPdrModel layers on a 20-sample window.
+        Conv1dCase{"pdr_layer1", 6, 16, 5, 1, 2, 1, 3, 20},
+        Conv1dCase{"pdr_layer2", 16, 16, 3, 1, 2, 2, 3, 20},
+        // Padding wider than the effective kernel: whole taps fall outside
+        // the input for the edge outputs.
+        Conv1dCase{"wide_pad", 2, 3, 3, 1, 5, 1, 2, 4},
+        Conv1dCase{"wide_pad_strided", 2, 3, 2, 2, 4, 2, 2, 3}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
+
+Tensor RefConv2dForward(const Tensor& input, const Tensor& weight,
+                        const Tensor& bias, size_t stride, size_t padding) {
+  const size_t batch = input.dim(0), in_channels = input.dim(1);
+  const size_t h_in = input.dim(2), w_in = input.dim(3);
+  const size_t out_channels = weight.dim(0), kernel_size = weight.dim(2);
+  const size_t h_out = (h_in + 2 * padding - kernel_size) / stride + 1;
+  const size_t w_out = (w_in + 2 * padding - kernel_size) / stride + 1;
+  Tensor out({batch, out_channels, h_out, w_out});
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t oc = 0; oc < out_channels; ++oc) {
+      for (size_t ho = 0; ho < h_out; ++ho) {
+        for (size_t wo = 0; wo < w_out; ++wo) {
+          double acc = bias[oc];
+          for (size_t ic = 0; ic < in_channels; ++ic) {
+            for (size_t kh = 0; kh < kernel_size; ++kh) {
+              const long hi = static_cast<long>(ho * stride + kh) -
+                              static_cast<long>(padding);
+              if (hi < 0 || hi >= static_cast<long>(h_in)) continue;
+              for (size_t kw = 0; kw < kernel_size; ++kw) {
+                const long wi = static_cast<long>(wo * stride + kw) -
+                                static_cast<long>(padding);
+                if (wi < 0 || wi >= static_cast<long>(w_in)) continue;
+                acc += weight.At(oc, ic, kh, kw) *
+                       input.At(b, ic, static_cast<size_t>(hi),
+                                static_cast<size_t>(wi));
+              }
+            }
+          }
+          out.At(b, oc, ho, wo) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Accumulates onto *grad_weight / *grad_bias and returns grad_input.
+Tensor RefConv2dBackward(const Tensor& input, const Tensor& weight,
+                         const Tensor& grad_output, size_t stride,
+                         size_t padding, Tensor* grad_weight,
+                         Tensor* grad_bias) {
+  const size_t batch = input.dim(0), in_channels = input.dim(1);
+  const size_t h_in = input.dim(2), w_in = input.dim(3);
+  const size_t out_channels = weight.dim(0), kernel_size = weight.dim(2);
+  const size_t h_out = grad_output.dim(2), w_out = grad_output.dim(3);
+  Tensor grad_input(input.shape());
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t oc = 0; oc < out_channels; ++oc) {
+      for (size_t ho = 0; ho < h_out; ++ho) {
+        for (size_t wo = 0; wo < w_out; ++wo) {
+          const double go = grad_output.At(b, oc, ho, wo);
+          if (go == 0.0) continue;
+          (*grad_bias)[oc] += go;
+          for (size_t ic = 0; ic < in_channels; ++ic) {
+            for (size_t kh = 0; kh < kernel_size; ++kh) {
+              const long hi = static_cast<long>(ho * stride + kh) -
+                              static_cast<long>(padding);
+              if (hi < 0 || hi >= static_cast<long>(h_in)) continue;
+              for (size_t kw = 0; kw < kernel_size; ++kw) {
+                const long wi = static_cast<long>(wo * stride + kw) -
+                                static_cast<long>(padding);
+                if (wi < 0 || wi >= static_cast<long>(w_in)) continue;
+                const size_t hiu = static_cast<size_t>(hi);
+                const size_t wiu = static_cast<size_t>(wi);
+                grad_weight->At(oc, ic, kh, kw) +=
+                    go * input.At(b, ic, hiu, wiu);
+                grad_input.At(b, ic, hiu, wiu) +=
+                    go * weight.At(oc, ic, kh, kw);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return grad_input;
+}
+
+struct Conv2dCase {
+  const char* name;
+  size_t in_channels, out_channels, kernel, stride, padding;
+  size_t batch, h_in, w_in;
+};
+
+void PrintTo(const Conv2dCase& c, std::ostream* os) { *os << c.name; }
+
+class Conv2dByteExactTest : public ::testing::TestWithParam<Conv2dCase> {};
+
+TEST_P(Conv2dByteExactTest, ForwardAndBackwardMatchReferenceBytes) {
+  const Conv2dCase& c = GetParam();
+  Rng rng(c.in_channels * 1000 + c.kernel * 100 + c.padding * 10 + c.stride);
+  Conv2d conv(c.in_channels, c.out_channels, c.kernel, &rng, c.stride,
+              c.padding);
+  const Tensor x =
+      Tensor::RandomNormal({c.batch, c.in_channels, c.h_in, c.w_in}, &rng);
+  const Tensor w = *conv.Params()[0];
+  const Tensor b = *conv.Params()[1];
+
+  const Tensor y = conv.Forward(x, /*training=*/true);
+  ExpectSameBytes(y, RefConv2dForward(x, w, b, c.stride, c.padding),
+                  "forward");
+
+  Tensor ref_gw = Tensor::RandomNormal(w.shape(), &rng);
+  Tensor ref_gb = Tensor::RandomNormal(b.shape(), &rng);
+  CopyInto(ref_gw, conv.Grads()[0]);
+  CopyInto(ref_gb, conv.Grads()[1]);
+  const Tensor g = SparseGradient(y.shape(), &rng);
+  const Tensor gi = conv.Backward(g);
+  const Tensor ref_gi = RefConv2dBackward(x, w, g, c.stride, c.padding,
+                                          &ref_gw, &ref_gb);
+  ExpectSameBytes(gi, ref_gi, "grad_input");
+  ExpectSameBytes(*conv.Grads()[0], ref_gw, "grad_weight");
+  ExpectSameBytes(*conv.Grads()[1], ref_gb, "grad_bias");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, Conv2dByteExactTest,
+    ::testing::Values(
+        // The stride/padding/kernel sweep above.
+        Conv2dCase{"s1p0k3", 2, 2, 3, 1, 0, 1, 8, 8},
+        Conv2dCase{"s1p1k3", 2, 2, 3, 1, 1, 1, 8, 8},
+        Conv2dCase{"s2p0k3", 2, 2, 3, 2, 0, 1, 8, 8},
+        Conv2dCase{"s2p2k5", 2, 2, 5, 2, 2, 1, 8, 8},
+        Conv2dCase{"s1p0k1", 2, 2, 1, 1, 0, 1, 8, 8},
+        Conv2dCase{"s3p1k2", 2, 2, 2, 3, 1, 1, 8, 8},
+        // The BuildCrowdModel column layers (first layer of each column,
+        // then the shared 4->8 shape after pooling).
+        Conv2dCase{"crowd_k3", 1, 4, 3, 1, 1, 2, 12, 12},
+        Conv2dCase{"crowd_k5", 1, 4, 5, 1, 2, 2, 12, 12},
+        Conv2dCase{"crowd_k7", 1, 4, 7, 1, 3, 2, 12, 12},
+        Conv2dCase{"crowd_second", 4, 8, 3, 1, 1, 2, 6, 6},
+        // Non-square input and padding wider than the kernel.
+        Conv2dCase{"non_square", 2, 3, 3, 2, 1, 2, 5, 7},
+        Conv2dCase{"wide_pad", 2, 3, 3, 1, 4, 1, 3, 2}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 }  // namespace
 }  // namespace tasfar

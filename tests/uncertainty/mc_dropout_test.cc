@@ -4,9 +4,11 @@
 
 #include <cmath>
 
+#include "data/pdr_sim.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
+#include "tensor/buffer.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -247,6 +249,29 @@ TEST(McDropoutTest, PooledReplicasTrackModelWeightUpdates) {
       EXPECT_EQ(pooled[i].std[j], expect[i].std[j]);
     }
   }
+}
+
+TEST(McDropoutTest, SteadyStatePredictOnPdrModelAllocatesNothing) {
+  // Pooled replicas share the model's parameter buffers, and Conv1d, Dense
+  // and Dropout read parameters and cached inputs through const views, so
+  // no pass detaches a shared buffer (docs/MEMORY.md); every activation
+  // comes from the per-thread Workspace. Once warm, Predict must not
+  // allocate a single tensor buffer. One pool thread: with more, which
+  // worker's Workspace and which pooled replica serve a pass is up to the
+  // scheduler, so warm-up would be left to chance.
+  SetNumThreads(1);
+  Rng rng(26);
+  auto model = BuildPdrModel(/*window_len=*/20, &rng);
+  McDropoutPredictor predictor(model.get(), 10, 16, /*seed=*/0x5eedULL);
+  Tensor x = Tensor::RandomNormal({24, 6, 20}, &rng);
+  for (int warm = 0; warm < 3; ++warm) (void)predictor.Predict(x);
+  const TensorAllocStats before = GetTensorAllocStats();
+  auto preds = predictor.Predict(x);
+  const TensorAllocStats after = GetTensorAllocStats();
+  SetNumThreads(0);
+  EXPECT_EQ(after.alloc_count, before.alloc_count);
+  EXPECT_GT(after.workspace_reuses, before.workspace_reuses);
+  ASSERT_EQ(preds.size(), 24u);
 }
 
 TEST(McDropoutDeathTest, TooFewSamplesAborts) {
