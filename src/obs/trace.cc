@@ -213,6 +213,12 @@ TraceSpan::TraceSpan(const char* name, Histogram* latency_ms)
   start_us_ = MonotonicMicros();
 }
 
+TraceSpan::TraceSpan(const char* name, Histogram* latency_ms,
+                     uint64_t start_us)
+    : TraceSpan(name, latency_ms) {
+  if (record_trace_ || record_metrics_) start_us_ = start_us;
+}
+
 TraceSpan::~TraceSpan() {
   if (!record_trace_ && !record_metrics_) return;
   const uint64_t dur = MonotonicMicros() - start_us_;

@@ -125,6 +125,10 @@ bool FlushTraceToEnvPath();
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Histogram* latency_ms = nullptr);
+  /// A span that began at `start_us` (an earlier MonotonicMicros reading,
+  /// possibly taken on another thread, e.g. when a request was queued for
+  /// this one) and ends with the scope.
+  TraceSpan(const char* name, Histogram* latency_ms, uint64_t start_us);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -149,16 +153,19 @@ class TraceSpan {
 #define TASFAR_OBS_CONCAT_INNER(a, b) a##b
 #define TASFAR_OBS_CONCAT(a, b) TASFAR_OBS_CONCAT_INNER(a, b)
 
-/// Times the enclosing scope as span `name` (a string literal). The
-/// latency histogram handle is resolved once per call site.
-#define TASFAR_TRACE_SPAN(name)                                           \
+/// Times the enclosing scope as span `name` (a string literal). An
+/// optional second argument backdates the span's start to that
+/// MonotonicMicros reading. The latency histogram handle is resolved once
+/// per call site.
+#define TASFAR_TRACE_SPAN(name, ...)                                      \
   static ::tasfar::obs::Histogram* const TASFAR_OBS_CONCAT(               \
       tasfar_span_hist_, __LINE__) =                                      \
       ::tasfar::obs::Registry::Get().GetHistogram(                        \
           std::string("tasfar.span.") + (name) + ".ms",                   \
           ::tasfar::obs::Histogram::LatencyEdgesMs());                    \
   ::tasfar::obs::TraceSpan TASFAR_OBS_CONCAT(tasfar_span_, __LINE__)(     \
-      (name), TASFAR_OBS_CONCAT(tasfar_span_hist_, __LINE__))
+      (name), TASFAR_OBS_CONCAT(tasfar_span_hist_, __LINE__)              \
+                  __VA_OPT__(, ) __VA_ARGS__)
 
 }  // namespace tasfar::obs
 

@@ -8,12 +8,15 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <fcntl.h>
+
 #include <cerrno>
 #include <cstring>
 #include <exception>
 #include <utility>
 #include <vector>
 
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/failpoint.h"
@@ -57,6 +60,12 @@ obs::Counter* RejectedCounter() {
   static obs::Counter* const kCounter =
       obs::Registry::Get().GetCounter("tasfar.serve.connections.rejected");
   return kCounter;
+}
+
+obs::Gauge* ComputeQueueDepthGauge() {
+  static obs::Gauge* const kGauge =
+      obs::Registry::Get().GetGauge("tasfar.serve.compute.queue_depth");
+  return kGauge;
 }
 
 /// Default Status → WireError mapping; OutOfRange is context-dependent and
@@ -108,10 +117,26 @@ Status Server::Start() {
     listen_fd_ = -1;
     return st;
   }
+  if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0) {
+    const Status st =
+        Status::IoError(std::string("pipe2: ") + std::strerror(errno));
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return st;
+  }
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   bound_port_ = ntohs(addr.sin_port);
   stop_.store(false, std::memory_order_relaxed);
+  stage_stop_ = false;
+  // One compute lane per pool lane: each lane's Predict runs its own
+  // ParallelFor chunks, so a small request never queues behind a large
+  // one's chunks (docs/SERVING.md §Threading).
+  const size_t lanes = GetNumThreads();
+  for (size_t i = 0; i < lanes; ++i) {
+    compute_lanes_.push_back(std::make_unique<BackgroundThread>(
+        "serve-compute-" + std::to_string(i), [this] { ComputeLoop(); }));
+  }
   net_thread_ = std::make_unique<BackgroundThread>("serve-net",
                                                    [this] { NetLoop(); });
   TASFAR_LOG(kInfo) << "serve: listening on 127.0.0.1:" << bound_port_;
@@ -121,11 +146,34 @@ Status Server::Start() {
 void Server::Stop() {
   if (net_thread_ == nullptr) return;
   stop_.store(true, std::memory_order_relaxed);
-  net_thread_.reset();  // Joins; the loop closes client fds on exit.
+  WakeNetLoop();
+  net_thread_.reset();  // Joins; connections stay open for the lanes.
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    stage_stop_ = true;
+    stage_.clear();
+  }
+  stage_cv_.notify_all();
+  // Joins; a lane finishes and answers the Predict it is running, so no
+  // reply is ever written to a closed (or reused) fd.
+  compute_lanes_.clear();
+  finished_.clear();
+  for (const auto& [fd, conn] : connections_) ::close(fd);
+  connections_.clear();
+  for (int& fd : wake_fds_) {
+    ::close(fd);
+    fd = -1;
+  }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+}
+
+void Server::WakeNetLoop() {
+  // A full pipe already guarantees a wake-up, so EAGAIN is fine to drop.
+  const char byte = 1;
+  (void)!::write(wake_fds_[1], &byte, 1);
 }
 
 void Server::NetLoop() {
@@ -133,15 +181,18 @@ void Server::NetLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
     fds.clear();
     fds.push_back({listen_fd_, POLLIN, 0});
+    fds.push_back({wake_fds_[0], POLLIN, 0});
     for (const auto& [fd, conn] : connections_) {
-      fds.push_back({fd, POLLIN, 0});
+      if (!conn.predict_staged) fds.push_back({fd, POLLIN, 0});
     }
-    // 50 ms tick bounds the Stop() latency without burning CPU.
+    // 50 ms tick bounds the Stop() latency without burning CPU; finished
+    // Predicts and Stop() wake it early through the self-pipe.
     const int ready = ::poll(fds.data(), fds.size(), 50);
     if (ready <= 0) continue;  // Timeout or EINTR.
     if ((fds[0].revents & POLLIN) != 0) AcceptOne();
+    if ((fds[1].revents & POLLIN) != 0) ResumeFinished();
     // Snapshot the fd list: handlers may erase from connections_.
-    std::vector<pollfd> client_fds(fds.begin() + 1, fds.end());
+    std::vector<pollfd> client_fds(fds.begin() + 2, fds.end());
     for (const pollfd& p : client_fds) {
       if ((p.revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
       auto it = connections_.find(p.fd);
@@ -159,9 +210,25 @@ void Server::NetLoop() {
       }
     }
   }
-  // Drain: close every client before the thread exits.
-  for (const auto& [fd, conn] : connections_) ::close(fd);
-  connections_.clear();
+  // Stop() closes the connections once the compute lanes are joined.
+}
+
+void Server::ResumeFinished() {
+  char drain[256];
+  while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
+  }
+  std::vector<FinishedPredict> done;
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    done.swap(finished_);
+  }
+  for (const FinishedPredict& f : done) {
+    // A parked connection is never closed, so it is still here.
+    auto it = connections_.find(f.fd);
+    if (it == connections_.end()) continue;
+    it->second.predict_staged = false;
+    if (!f.keep || !DispatchFrames(f.fd, &it->second)) CloseConnection(f.fd);
+  }
 }
 
 void Server::AcceptOne() {
@@ -179,9 +246,10 @@ void Server::AcceptOne() {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (config_.write_timeout_ms > 0) {
-    // Bound how long one stalled client can hold the single network
-    // thread inside WriteAll; on expiry send() fails and the connection
-    // is dropped (docs/SERVING.md §Admission control).
+    // Bound how long one stalled client can hold the thread answering it
+    // (the network thread or a compute lane) inside WriteAll; on expiry
+    // send() fails and the connection is dropped (docs/SERVING.md
+    // §Admission control).
     timeval tv;
     tv.tv_sec = config_.write_timeout_ms / 1000;
     tv.tv_usec =
@@ -217,6 +285,10 @@ bool Server::HandleInput(int fd, Connection* conn, const char* data,
     }
     return HandleHttpGet(fd, conn->sniff);
   }
+  return DispatchFrames(fd, conn);
+}
+
+bool Server::DispatchFrames(int fd, Connection* conn) {
   for (;;) {
     Frame frame;
     const FrameReader::ReadResult r = conn->reader.Next(&frame);
@@ -230,28 +302,79 @@ bool Server::HandleInput(int fd, Connection* conn, const char* data,
                 conn->reader.error().message());
       return false;
     }
-    // A handler that throws (bad_alloc on a hostile payload, a bug in a
-    // deeper layer) must cost its own connection, never the process: an
-    // exception escaping the network thread would std::terminate the
-    // whole multi-tenant daemon.
-    bool keep = false;
-    try {
-      keep = HandleFrame(fd, frame);
-    } catch (const std::exception& e) {
-      TASFAR_LOG(kError) << "serve: exception handling "
-                         << MessageTypeName(frame.type) << ": " << e.what();
-      RequestErrorsCounter()->Increment();
-      SendError(fd, WireError::kInternalError, "internal error");
-      return false;
-    } catch (...) {
-      TASFAR_LOG(kError) << "serve: non-exception thrown handling "
-                         << MessageTypeName(frame.type);
-      RequestErrorsCounter()->Increment();
-      SendError(fd, WireError::kInternalError, "internal error");
+    if (frame.type == MessageType::kPredict) {
+      // Frames behind it stay buffered until its reply is out.
+      StagePredict(fd, conn, std::move(frame));
+      return true;
+    }
+    if (!Guarded(fd, frame.type, [&] { return HandleFrame(fd, frame); })) {
       return false;
     }
-    if (!keep) return false;
   }
+}
+
+bool Server::Guarded(int fd, MessageType type,
+                     const std::function<bool()>& handler) {
+  // A handler that throws (bad_alloc on a hostile payload, a bug in a
+  // deeper layer) must cost its own connection, never the process: an
+  // exception escaping a server thread would std::terminate the whole
+  // multi-tenant daemon.
+  try {
+    return handler();
+  } catch (const std::exception& e) {
+    TASFAR_LOG(kError) << "serve: exception handling "
+                       << MessageTypeName(type) << ": " << e.what();
+  } catch (...) {
+    TASFAR_LOG(kError) << "serve: non-exception thrown handling "
+                       << MessageTypeName(type);
+  }
+  RequestErrorsCounter()->Increment();
+  SendError(fd, WireError::kInternalError, "internal error");
+  return false;
+}
+
+void Server::StagePredict(int fd, Connection* conn, Frame frame) {
+  RequestsCounter()->Increment();
+  conn->predict_staged = true;
+  {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    stage_.push_back({fd, std::move(frame), obs::MonotonicMicros()});
+    ComputeQueueDepthGauge()->Set(static_cast<double>(stage_.size()));
+  }
+  stage_cv_.notify_one();
+}
+
+void Server::ComputeLoop() {
+  for (;;) {
+    PredictJob job;
+    {
+      std::unique_lock<std::mutex> lock(stage_mu_);
+      stage_cv_.wait(lock, [this] { return stage_stop_ || !stage_.empty(); });
+      if (stage_stop_) return;
+      job = std::move(stage_.front());
+      stage_.pop_front();
+      ComputeQueueDepthGauge()->Set(static_cast<double>(stage_.size()));
+    }
+    const bool keep = RunPredict(job);
+    {
+      std::lock_guard<std::mutex> lock(stage_mu_);
+      finished_.push_back({job.fd, keep});
+    }
+    WakeNetLoop();
+  }
+}
+
+bool Server::RunPredict(const PredictJob& job) {
+  // The client's trace context rides with the frame, as on the network
+  // thread. `serve.request` spans the whole request from staging on, so
+  // its children split it into time on the stage and time computing.
+  obs::ScopedTraceContext tctx(
+      obs::TraceContext{job.frame.trace_id, job.frame.span_id});
+  TASFAR_TRACE_SPAN("serve.request", job.staged_us);
+  { TASFAR_TRACE_SPAN("serve.queue_wait", job.staged_us); }
+  TASFAR_TRACE_SPAN("serve.compute");
+  return Guarded(job.fd, MessageType::kPredict,
+                 [&] { return HandlePredict(job.fd, job.frame.payload); });
 }
 
 bool Server::HandleHttpGet(int fd, const std::string& request) {
@@ -303,8 +426,6 @@ bool Server::HandleFrame(int fd, const Frame& frame) {
       return HandleAdapt(fd, frame.payload);
     case MessageType::kQuerySession:
       return HandleQuerySession(fd, frame.payload);
-    case MessageType::kPredict:
-      return HandlePredict(fd, frame.payload);
     case MessageType::kSaveSession:
       return HandleSaveSession(fd, frame.payload);
     case MessageType::kRestoreSession:
@@ -460,6 +581,16 @@ bool Server::HandlePredict(int fd, const std::string& payload) {
   std::vector<double> data(cells);
   for (uint64_t i = 0; i < cells; ++i) r.GetDouble(&data[i]);
   const Tensor inputs(std::vector<size_t>{rows, cols}, std::move(data));
+  if (TASFAR_FAILPOINT("serve.predict_hold")) {
+    // A stuck compute lane, holding its session: parked while the active
+    // failpoint spec names this site, or until Stop (docs/TESTING.md
+    // §Chaos).
+    while (!stop_.load(std::memory_order_relaxed) &&
+           failpoint::ActiveSpec().find("serve.predict_hold") !=
+               std::string::npos) {
+      ::poll(nullptr, 0, 1);
+    }
+  }
   Result<ServedPrediction> result = session->Predict(inputs);
   if (!result.ok()) {
     return SendStatusError(fd, result.status(), /*adapt_context=*/false);
@@ -608,7 +739,7 @@ bool Server::WriteAll(int fd, const char* data, size_t n) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // SO_SNDTIMEO expired: the peer stopped reading. Drop it rather
-        // than stall every other tenant behind its full socket buffer.
+        // than keep this thread stalled behind its full socket buffer.
         TASFAR_LOG(kWarning)
             << "serve: send timed out after " << config_.write_timeout_ms
             << " ms; dropping stalled client";

@@ -2,10 +2,15 @@
 #define TASFAR_SERVE_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "serve/protocol.h"
 #include "serve/session_manager.h"
@@ -21,21 +26,32 @@ struct ServerConfig {
   /// Concurrent client connections beyond which accepts are closed
   /// immediately (`tasfar.serve.connections.rejected`).
   size_t max_connections = 64;
-  /// Upper bound on how long one send() to a client may block the network
-  /// thread (SO_SNDTIMEO). A client that stops reading its socket hits
-  /// this and is dropped instead of head-of-line-blocking every other
-  /// tenant. 0 disables the timeout (tests only).
+  /// Upper bound on how long one send() to a client may block the thread
+  /// answering it (SO_SNDTIMEO): the network thread for cheap requests, a
+  /// compute lane for Predict. A client that stops reading its socket hits
+  /// this and is dropped, so it stalls at most one thread for this long
+  /// instead of head-of-line-blocking every other tenant. 0 disables the
+  /// timeout (tests only).
   uint32_t write_timeout_ms = 5000;
   ManagerConfig manager;
 };
 
 /// The TASFAR adaptation server (docs/SERVING.md).
 ///
-/// One BackgroundThread runs a poll() loop over the listen socket and all
-/// client connections, decoding frames (serve/protocol.h) and dispatching
-/// them against the SessionManager. Adapt requests only *enqueue* onto the
-/// manager's JobRunner, so the network loop never blocks on a fine-tune;
-/// the job's compute fans out through the global ParallelFor pool.
+/// One BackgroundThread (the network thread) runs a poll() loop over the
+/// listen socket and all client connections, decoding frames
+/// (serve/protocol.h) and answering the cheap requests against the
+/// SessionManager itself. Predict frames go to a FIFO stage served by
+/// GetNumThreads() compute lanes (BackgroundThreads), which decode,
+/// predict, encode and send the reply; while a connection's Predict is on
+/// the stage the network thread neither polls nor dispatches that
+/// connection, so pipelined replies stay in order and the stage holds at
+/// most one request per connection (a FIFO is then round-robin across
+/// connections). A self-pipe wakes poll() when a lane finishes. Adapt
+/// requests only *enqueue* onto the manager's JobRunner, so no thread the
+/// server owns blocks on a fine-tune; Predict and adapt compute fans out
+/// through the global ParallelFor pool with the calling lane as one of its
+/// lanes (docs/SERVING.md §Threading).
 ///
 /// A connection whose first bytes are "GET " is treated as a plain-HTTP
 /// probe, routed by path (`/metrics` Prometheus text, `/sessions` the
@@ -64,11 +80,14 @@ class Server {
     manager_.RegisterBackendCalibration(backend, calibration);
   }
 
-  /// Binds, listens, and starts the network thread. IoError when the
-  /// socket setup fails (e.g. port in use).
+  /// Binds, listens, and starts the network thread and the compute lanes
+  /// (one per GetNumThreads() lane at this point). IoError when the socket
+  /// setup fails (e.g. port in use).
   Status Start();
 
-  /// Stops the network thread, closes every connection. Idempotent.
+  /// Stops the network thread, lets each compute lane finish (and answer)
+  /// the Predict it is running, drops staged ones, then closes every
+  /// connection. Idempotent.
   void Stop();
 
   /// The bound port (valid after a successful Start).
@@ -86,14 +105,48 @@ class Server {
     bool decided = false;
     /// Decided as HTTP; still accumulating the request line in `sniff`.
     bool http = false;
+    /// A Predict from this connection is on the stage or a compute lane;
+    /// until the lane hands it back the connection is not polled and its
+    /// buffered frames wait.
+    bool predict_staged = false;
+  };
+
+  /// One Predict waiting for, or running on, a compute lane.
+  struct PredictJob {
+    int fd = -1;
+    Frame frame;
+    uint64_t staged_us = 0;  ///< MonotonicMicros when it was staged.
+  };
+
+  /// A Predict a lane has answered, handed back to the network thread.
+  struct FinishedPredict {
+    int fd = -1;
+    bool keep = true;  ///< False: the network thread closes the connection.
   };
 
   void NetLoop();
   void AcceptOne();
   /// Feeds freshly read bytes; false when the connection must close.
   bool HandleInput(int fd, Connection* conn, const char* data, size_t n);
-  /// Dispatches one decoded frame; false closes the connection.
+  /// Dispatches the complete frames buffered on `conn` until it needs more
+  /// bytes or a Predict goes on the stage; false closes the connection.
+  bool DispatchFrames(int fd, Connection* conn);
+  /// Runs `handler` for one frame of `type`; an exception costs only the
+  /// connection (answered with internal_error, returns false).
+  bool Guarded(int fd, MessageType type, const std::function<bool()>& handler);
+  /// Dispatches one decoded non-Predict frame; false closes the connection.
   bool HandleFrame(int fd, const Frame& frame);
+  /// Puts `frame` on the stage and parks its connection.
+  void StagePredict(int fd, Connection* conn, Frame frame);
+  /// Body of each compute lane: serves the stage until Stop.
+  void ComputeLoop();
+  /// Answers one staged Predict on the calling lane; false closes.
+  bool RunPredict(const PredictJob& job);
+  /// Network thread: un-parks the connections whose Predict finished and
+  /// dispatches the frames they buffered meanwhile.
+  void ResumeFinished();
+  /// Makes the network thread's poll() return.
+  void WakeNetLoop();
   /// Answers one routed HTTP GET (always closes: returns false).
   bool HandleHttpGet(int fd, const std::string& request);
   bool SendFrame(int fd, MessageType type, const std::string& payload);
@@ -120,8 +173,19 @@ class Server {
   int listen_fd_ = -1;
   uint16_t bound_port_ = 0;
   std::atomic<bool> stop_{false};
+  /// Owned by the network thread (and by Stop once it has joined it).
   std::map<int, Connection> connections_;
+  /// Self-pipe: lanes write a byte, the network thread polls [0].
+  int wake_fds_[2] = {-1, -1};
+
+  std::mutex stage_mu_;
+  std::condition_variable stage_cv_;
+  std::deque<PredictJob> stage_;
+  std::vector<FinishedPredict> finished_;
+  bool stage_stop_ = false;
+
   std::unique_ptr<BackgroundThread> net_thread_;
+  std::vector<std::unique_ptr<BackgroundThread>> compute_lanes_;
 };
 
 }  // namespace tasfar::serve

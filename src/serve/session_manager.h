@@ -19,8 +19,10 @@ namespace tasfar::serve {
 /// bounded FIFO queue as admission control: TrySubmit refuses (→ the wire
 /// error `server_busy`) instead of letting a burst of Adapt requests build
 /// an unbounded backlog. One consumer is deliberate — each job internally
-/// fans its compute onto the global ParallelFor pool, so running two jobs
-/// at once would just thrash the same cores (docs/THREADING.md).
+/// fans its compute onto the global ParallelFor pool, with the runner
+/// thread as one of its lanes, so running two jobs at once would just
+/// thrash the same cores (docs/THREADING.md). The server's Predict
+/// compute lanes are callers of the same pool and run beside it.
 class JobRunner {
  public:
   explicit JobRunner(size_t queue_capacity);
@@ -67,8 +69,9 @@ struct ManagerConfig {
 /// Owner of every live session, keyed by user id, plus the shared adapt
 /// JobRunner. All mutating calls come from the server's single network
 /// thread; the internal lock exists because jobs finish on the runner
-/// thread while holding shared_ptr references to their session (a session
-/// closed mid-job stays alive until the job releases it).
+/// thread and Predicts on the server's compute lanes while holding
+/// shared_ptr references to their session (a session closed mid-job or
+/// mid-Predict stays alive until they release it).
 class SessionManager {
  public:
   /// `source_model` and `calibration` are shared by every session and must

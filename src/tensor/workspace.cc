@@ -7,10 +7,25 @@
 
 namespace tasfar {
 
+namespace {
+
+/// Arena of the innermost live Workspace::Scope on this thread.
+thread_local Workspace* tls_scoped_arena = nullptr;
+
+}  // namespace
+
 Workspace& Workspace::ThreadLocal() {
+  if (tls_scoped_arena != nullptr) return *tls_scoped_arena;
   static thread_local Workspace workspace;
   return workspace;
 }
+
+Workspace::Scope::Scope(Workspace* arena) : saved_(tls_scoped_arena) {
+  TASFAR_CHECK(arena != nullptr);
+  tls_scoped_arena = arena;
+}
+
+Workspace::Scope::~Scope() { tls_scoped_arena = saved_; }
 
 std::shared_ptr<detail::TensorBuffer> Workspace::Acquire(size_t n) {
   if (n == 0) return nullptr;

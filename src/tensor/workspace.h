@@ -28,21 +28,40 @@ namespace tasfar {
 /// (possibly stale data from a previous checkout); use `ZeroTensor` when
 /// the consumer does not overwrite every element.
 ///
-/// Thread model: `ThreadLocal()` returns this thread's pool; the Workspace
-/// object itself is not synchronized and must only be used by its owning
-/// thread. Tensors drawn from it may be released on any thread (the buffer
-/// refcount is atomic); the block simply becomes reusable by the owning
-/// thread's next acquisition. See docs/MEMORY.md.
+/// Thread model: `ThreadLocal()` returns this thread's pool, or the arena
+/// a `Workspace::Scope` routed it to; the Workspace object itself is not
+/// synchronized and must only be used by one thread at a time. Tensors
+/// drawn from it may be released on any thread (the buffer refcount is
+/// atomic); the block simply becomes reusable by the pool's next
+/// acquisition. See docs/MEMORY.md.
 class Workspace {
  public:
   Workspace() = default;
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
-  /// The calling thread's workspace. Thread-pool workers are persistent
-  /// (util/thread_pool.h), so their pools survive across parallel regions
-  /// and reuse kicks in from the second pass onward.
+  /// The calling thread's workspace: the arena of the innermost live
+  /// Scope on this thread, else the thread's own pool. Thread-pool workers
+  /// are persistent (util/thread_pool.h), so their pools survive across
+  /// parallel regions and reuse kicks in from the second pass onward.
   static Workspace& ThreadLocal();
+
+  /// Routes ThreadLocal() on the constructing thread to `arena` until the
+  /// scope ends; scopes nest. Estimators give each pass or member its own
+  /// arena this way, so that the thread a pass lands on does not decide
+  /// which pool it warms: steady state is then reached after one call at
+  /// any thread count (docs/MEMORY.md §Per-pass arenas).
+  class Scope {
+   public:
+    explicit Scope(Workspace* arena);
+    ~Scope();
+
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    Workspace* saved_;
+  };
 
   /// Tensor of the given shape with UNINITIALIZED contents, drawn from the
   /// pool when a free buffer fits.

@@ -22,6 +22,10 @@ DeepEnsemble::DeepEnsemble(
   TASFAR_CHECK_MSG(members_.size() >= 2,
                    "an ensemble needs at least two members");
   for (const auto& m : members_) TASFAR_CHECK(m != nullptr);
+  arenas_.reserve(members_.size());
+  for (size_t k = 0; k < members_.size(); ++k) {
+    arenas_.push_back(std::make_unique<Workspace>());
+  }
 }
 
 DeepEnsemble DeepEnsemble::Train(
@@ -89,16 +93,18 @@ std::vector<McPrediction> DeepEnsemble::Predict(const Tensor& inputs) const {
 
   // One forward pass per member, each member touched by exactly one task.
   // Source-derived members re-pin their stochastic streams to
-  // MixSeed(seed_, k) before every pass — which thread runs the pass is
-  // irrelevant to its output. Tasks only read `inputs` and write disjoint
-  // `passes` slots, so the fan-out is race-free and the reduction below —
-  // done serially in ascending member order — is byte-identical at every
-  // thread count.
+  // MixSeed(seed_, k) before every pass, and every pass draws from its
+  // member's arena — which thread runs the pass is irrelevant to its
+  // output and to which buffers it reuses. Tasks only read `inputs` and
+  // write disjoint `passes` slots and arenas, so the fan-out is race-free
+  // and the reduction below — done serially in ascending member order —
+  // is byte-identical at every thread count.
   const size_t num_members = members_.size();
   std::vector<Tensor> passes(num_members);
   ParallelFor(0, num_members, /*grain=*/1, [&](size_t k) {
     const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
     Sequential* member = members_[k].get();
+    Workspace::Scope arena(arenas_[k].get());
     if (stochastic_members_) member->ReseedStochastic(MixSeed(seed_, k));
     passes[k] = use_f32 ? BatchedForwardF32(member, inputs,
                                             stochastic_members_, batch_size_)

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/trainer.h"
+#include "tensor/workspace.h"
 #include "uncertainty/estimator.h"
 
 namespace tasfar {
@@ -34,10 +35,11 @@ namespace tasfar {
 /// Parallelism and determinism (docs/THREADING.md): Predict fans one
 /// forward pass per member across the global thread pool; each member is
 /// touched by exactly one task, and the cross-member reduction runs
-/// serially in ascending member order through per-thread Workspace
-/// arenas (docs/MEMORY.md), so results are byte-identical at every
-/// TASFAR_NUM_THREADS and steady-state Predict allocates no tensor
-/// buffers. Member forward passes mutate per-member activation caches,
+/// serially in ascending member order, so results are byte-identical at
+/// every TASFAR_NUM_THREADS. Member k always runs in its own Workspace
+/// arena k (docs/MEMORY.md §Per-pass arenas), whichever thread picks it
+/// up, so after one warm-up call Predict allocates no tensor buffers at
+/// any thread count. Member forward passes mutate per-member activation caches,
 /// so concurrent Predict calls on one DeepEnsemble are NOT safe (serve
 /// sessions serialize Predict under the session lock).
 class DeepEnsemble : public UncertaintyEstimator {
@@ -92,6 +94,9 @@ class DeepEnsemble : public UncertaintyEstimator {
 
  private:
   std::vector<std::unique_ptr<Sequential>> members_;
+  /// arenas_[k] holds member k's activations and pass output; only the
+  /// task running member k touches it.
+  mutable std::vector<std::unique_ptr<Workspace>> arenas_;
   /// True for FromSource ensembles: members forward with stochastic
   /// layers active, reseeded per member from `seed_`.
   bool stochastic_members_ = false;

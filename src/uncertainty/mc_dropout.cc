@@ -1,5 +1,6 @@
 #include "uncertainty/mc_dropout.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -21,43 +22,11 @@ McDropoutPredictor::McDropoutPredictor(Sequential* model, size_t num_samples,
     : model_(model),
       num_samples_(num_samples),
       batch_size_(batch_size),
-      seed_(seed) {
+      seed_(seed),
+      arenas_(std::make_unique<GroupArena[]>(num_samples)) {
   TASFAR_CHECK(model != nullptr);
   TASFAR_CHECK_MSG(num_samples >= 2, "MC dropout needs >= 2 samples");
   TASFAR_CHECK(batch_size > 0);
-}
-
-std::unique_ptr<Sequential> McDropoutPredictor::CheckoutReplica() const {
-  std::unique_ptr<Sequential> replica;
-  {
-    std::lock_guard<std::mutex> lock(replica_mu_);
-    if (!replica_pool_.empty()) {
-      replica = std::move(replica_pool_.back());
-      replica_pool_.pop_back();
-    }
-  }
-  if (replica == nullptr) {
-    // Cloning shares every parameter buffer with the model (copy-on-write),
-    // so this is a structural copy, not a weight copy.
-    return model_->CloneSequential();
-  }
-  // Re-share parameters the model has mutated since this replica last ran.
-  // Replicas only ever Forward, so their parameters never detach; a buffer
-  // mismatch therefore means the model wrote (and detached) that parameter,
-  // and in the steady state this loop is pure pointer compares.
-  std::vector<Tensor*> dst = replica->Params();
-  std::vector<Tensor*> src = model_->Params();
-  TASFAR_CHECK(dst.size() == src.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    if (!dst[i]->SharesBufferWith(*src[i])) *dst[i] = *src[i];
-  }
-  return replica;
-}
-
-void McDropoutPredictor::ReturnReplica(
-    std::unique_ptr<Sequential> replica) const {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  replica_pool_.push_back(std::move(replica));
 }
 
 std::vector<McPrediction> McDropoutPredictor::Predict(
@@ -79,31 +48,51 @@ std::vector<McPrediction> McDropoutPredictor::Predict(
   // Fast path: when the process opted into the f32 compute mode
   // (TASFAR_KERNEL_BACKEND / simd::SetComputeMode) and every layer
   // supports it, stochastic passes run through the float32 kernel
-  // dispatcher. Same replica pinning, same RNG stream consumption —
+  // dispatcher. Same per-group clones, same RNG stream consumption —
   // tests/golden_float/ bounds the numerical divergence.
   const bool use_f32 = simd::ComputeModeIsF32() && model_->SupportsF32();
 
-  // One stochastic pass per task, each on a pooled model replica whose
-  // dropout streams are pinned to (root seed, call index, pass index) —
-  // which replica object runs a pass is irrelevant to its output. Tasks
-  // only read `inputs`/`model_` and write disjoint `passes` slots, so the
-  // fan-out is race-free and the reduction below — done serially in
-  // ascending pass order — is byte-identical at every thread count.
+  // Passes run in groups, a group's passes in ascending order on one
+  // thread; group g forwards one fresh clone of the model in arena g. The
+  // grouping mirrors the pool's own chunking of a per-pass loop, so the
+  // fan-out is unchanged, and a group's passes reuse each other's (hot)
+  // buffers.
+  // Cloning shares every parameter buffer with the model (copy-on-write),
+  // so it is a structural copy, not a weight copy, and the clone's
+  // activation caches go back to the arena when it is dropped. Dropout
+  // streams are pinned to (root seed, call index, pass index) — which
+  // thread runs a group is irrelevant to its output and to which buffers
+  // it reuses. Tasks only read `inputs`/`model_` and write disjoint
+  // `passes` entries and arenas, so the fan-out is race-free and the
+  // reduction below — done serially in ascending pass order — is
+  // byte-identical at every thread count.
   const uint64_t call_seed =
       MixSeed(seed_, next_call_.fetch_add(1, std::memory_order_relaxed));
+  // One group per chunk the pool would cut from a per-pass loop: about
+  // four per lane, and a single one when the pool runs loops serially.
+  const size_t lanes = GetNumThreads();
+  const size_t target_groups = lanes == 1 ? 1 : lanes * 4;
+  const size_t group = (num_samples_ + target_groups - 1) / target_groups;
+  const size_t num_groups = (num_samples_ + group - 1) / group;
   std::vector<Tensor> passes(num_samples_);
-  ParallelFor(0, num_samples_, /*grain=*/1, [&](size_t s) {
-    const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
-    std::unique_ptr<Sequential> replica = CheckoutReplica();
-    replica->ReseedStochastic(MixSeed(call_seed, s));
-    passes[s] = use_f32 ? BatchedForwardF32(replica.get(), inputs,
-                                            /*training=*/true, batch_size_)
-                        : BatchedForward(replica.get(), inputs,
-                                         /*training=*/true, batch_size_);
-    ReturnReplica(std::move(replica));
-    if (metrics) {
-      kPassMs->Observe(
-          static_cast<double>(obs::MonotonicMicros() - t0) / 1000.0);
+  ParallelFor(0, num_groups, /*grain=*/1, [&](size_t g) {
+    GroupArena& group_arena = arenas_[g];
+    std::lock_guard<std::mutex> lock(group_arena.mu);
+    Workspace::Scope arena(&group_arena.workspace);
+    const std::unique_ptr<Sequential> replica = model_->CloneSequential();
+    for (size_t s = g * group; s < std::min(num_samples_, (g + 1) * group);
+         ++s) {
+      const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
+      replica->ReseedStochastic(MixSeed(call_seed, s));
+      // TASFAR_ANALYZE_ALLOW(parallel-capture): s ranges over group g's passes only, so the writes stay disjoint per g.
+      passes[s] = use_f32 ? BatchedForwardF32(replica.get(), inputs,
+                                              /*training=*/true, batch_size_)
+                          : BatchedForward(replica.get(), inputs,
+                                           /*training=*/true, batch_size_);
+      if (metrics) {
+        kPassMs->Observe(
+            static_cast<double>(obs::MonotonicMicros() - t0) / 1000.0);
+      }
     }
   });
   if (metrics) {

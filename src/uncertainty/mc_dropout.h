@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "nn/sequential.h"
+#include "tensor/workspace.h"
 #include "uncertainty/estimator.h"
 
 namespace tasfar {
@@ -23,20 +24,24 @@ namespace tasfar {
 /// uncertainty, which the predictor reports as-is.
 ///
 /// Parallelism and determinism (docs/THREADING.md): Predict fans the
-/// stochastic passes across the global thread pool. Each pass checks a
-/// model replica out of an internal pool (created lazily, reused across
-/// passes and Predict calls); replica parameters share the wrapped model's
-/// buffers zero-copy (docs/MEMORY.md), and every checkout re-shares any
-/// parameter whose buffer changed since — e.g. after fine-tuning — so
-/// replicas never serve stale weights. Dropout streams are reseeded from
+/// stochastic passes across the global thread pool in groups of
+/// consecutive passes (the pool's own chunking of a per-pass loop). Each
+/// group forwards a fresh structural clone of the model, whose parameters
+/// share the model's buffers zero-copy (docs/MEMORY.md), so passes always
+/// see the model's current weights. Dropout streams are reseeded from
 /// (seed, call index, pass index), which pins the masks to the pass, not
-/// to the replica object, so for a fixed seed the k-th Predict call on a
+/// to the thread, so for a fixed seed the k-th Predict call on a
 /// predictor returns byte-identical results at every thread count — while
 /// successive calls still draw fresh dropout ensembles (the MC mean
-/// remains a statistical estimate). Predict never mutates the wrapped
-/// model; concurrent Predict calls are safe as long as nothing else
-/// mutates the model. PredictMean runs the model itself (layer activation
-/// caches mutate) and is not thread-safe.
+/// remains a statistical estimate). Group g draws every activation from
+/// arena g, a Workspace of its own (docs/MEMORY.md §Per-pass arenas), and
+/// its clone releases them when the group ends; the thread a group lands
+/// on does not decide which buffers it reuses, so at a fixed thread count
+/// Predict allocates no tensor buffers after one warm-up call. Predict
+/// never mutates the wrapped model; concurrent Predict calls are safe
+/// (arena g is locked while group g runs) as long as nothing else mutates
+/// the model. PredictMean runs the model itself (layer activation caches
+/// mutate) and is not thread-safe.
 class McDropoutPredictor : public UncertaintyEstimator {
  public:
   /// `model` must outlive the predictor. num_samples >= 2. `seed` is the
@@ -64,7 +69,7 @@ class McDropoutPredictor : public UncertaintyEstimator {
   void Reseed(uint64_t seed) override;
 
   /// Same num_samples/batch_size/seed over `model`, with a fresh call
-  /// counter and an empty replica pool.
+  /// counter and fresh slots.
   std::unique_ptr<UncertaintyEstimator> Clone(
       Sequential* model) const override;
 
@@ -73,10 +78,12 @@ class McDropoutPredictor : public UncertaintyEstimator {
   size_t num_samples() const { return num_samples_; }
 
  private:
-  /// Pops a pooled replica (or clones one on first use) and re-shares any
-  /// parameter whose buffer no longer matches the model's.
-  std::unique_ptr<Sequential> CheckoutReplica() const;
-  void ReturnReplica(std::unique_ptr<Sequential> replica) const;
+  /// Group g's arena; only the task running group g touches it (under
+  /// `mu` when Predict calls overlap).
+  struct GroupArena {
+    std::mutex mu;
+    Workspace workspace;
+  };
 
   Sequential* model_;
   size_t num_samples_;
@@ -85,10 +92,8 @@ class McDropoutPredictor : public UncertaintyEstimator {
   /// Stream index of the next Predict call; atomic so concurrent Predict
   /// calls draw disjoint dropout ensembles.
   mutable std::atomic<uint64_t> next_call_{0};
-  /// Replica pool: at most one replica per concurrently running pass ever
-  /// exists; in steady state checkouts are pointer swaps, not clones.
-  mutable std::mutex replica_mu_;
-  mutable std::vector<std::unique_ptr<Sequential>> replica_pool_;
+  /// One arena per possible group (at most one group per pass).
+  std::unique_ptr<GroupArena[]> arenas_;
 };
 
 }  // namespace tasfar

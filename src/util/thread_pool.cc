@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -14,9 +15,11 @@ namespace tasfar {
 
 namespace {
 
-/// Set (permanently) on every pool worker thread; ParallelFor consults it
-/// to run nested parallel regions inline instead of re-entering the queue.
-thread_local bool tls_is_pool_worker = false;
+/// Set while the thread runs a chunk: permanently on every pool worker,
+/// and for the duration of its own chunks on a ParallelFor caller.
+/// ParallelFor consults it to run nested regions inline instead of
+/// re-entering the queue.
+thread_local bool tls_runs_chunks = false;
 
 /// Pool health metrics. Handles are resolved lazily (thread-safe static
 /// locals) so a pool constructed before main() does not race registry
@@ -53,10 +56,30 @@ obs::Counter* BusyMicrosCounter() {
 
 }  // namespace
 
+/// One ParallelFor call. Chunks are claimed through `next_chunk` by the
+/// caller and by workers alike; `pending` counts chunks not yet finished.
+/// Shared-owned so a drained region can sit in the queue, and be touched
+/// by a worker's claim, after its caller returned (such a claim fails
+/// without reading `fn`).
+struct ThreadPool::Region {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t chunk = 0;
+  size_t num_chunks = 0;
+  const std::function<void(size_t)>* fn = nullptr;
+  bool metrics = false;
+  obs::TraceContext trace_ctx;
+  std::atomic<size_t> next_chunk{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  size_t pending = 0;
+  std::exception_ptr first_error;
+};
+
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads < 2) return;
-  workers_.reserve(num_threads);
-  for (size_t t = 0; t < num_threads; ++t) {
+  workers_.reserve(num_threads - 1);
+  for (size_t t = 0; t + 1 < num_threads; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -71,18 +94,46 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
-  tls_is_pool_worker = true;
+  tls_runs_chunks = true;
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<Region> region;
+    size_t c = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and drained.
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      region = queue_.front();
+      c = region->next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (c + 1 >= region->num_chunks) queue_.pop_front();
+      if (obs::MetricsEnabled()) {
+        QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
+      }
     }
-    task();
+    if (c < region->num_chunks) RunChunk(region.get(), c);
   }
+}
+
+void ThreadPool::RunChunk(Region* region, size_t c) {
+  const size_t lo = region->begin + c * region->chunk;
+  const size_t hi = std::min(lo + region->chunk, region->end);
+  const uint64_t t0 = region->metrics ? obs::MonotonicMicros() : 0;
+  {
+    obs::ScopedTraceContext tctx(region->trace_ctx);
+    TASFAR_TRACE_SPAN("thread_pool.chunk");
+    try {
+      for (size_t i = lo; i < hi; ++i) (*region->fn)(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> rlock(region->mu);
+      if (!region->first_error) {
+        region->first_error = std::current_exception();
+      }
+    }
+  }
+  if (region->metrics) {
+    BusyMicrosCounter()->Increment(obs::MonotonicMicros() - t0);
+  }
+  std::lock_guard<std::mutex> rlock(region->mu);
+  if (--region->pending == 0) region->done_cv.notify_all();
 }
 
 void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
@@ -90,74 +141,51 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   if (begin >= end) return;
   if (grain == 0) grain = 1;
   const size_t range = end - begin;
-  // Serial fast paths: no workers, a nested region on a worker thread, or
-  // a range that fits in one chunk. All three execute iterations in
+  // Serial fast paths: no workers, a nested region inside a chunk, or a
+  // range that fits in one chunk. All three execute iterations in
   // ascending order, like every chunk below, so the result is the same.
-  if (workers_.empty() || tls_is_pool_worker || range <= grain) {
+  if (workers_.empty() || tls_runs_chunks || range <= grain) {
     if (obs::MetricsEnabled()) InlineRegionsCounter()->Increment();
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  const bool metrics = obs::MetricsEnabled();
-  // The submitting thread's trace context rides into every queued chunk so
-  // worker-side spans chain onto the submitter's trace (one TLS read here,
-  // only when tracing is on; {0,0} otherwise is a no-op install).
-  const obs::TraceContext trace_ctx =
-      obs::TracingEnabled() ? obs::CurrentTraceContext()
-                            : obs::TraceContext{};
-  // ~4 chunks per worker balances uneven iteration costs without a
-  // stealing scheduler; `grain` keeps chunks from getting too fine.
-  const size_t target_chunks = workers_.size() * 4;
-  const size_t chunk =
-      std::max(grain, (range + target_chunks - 1) / target_chunks);
-  const size_t num_chunks = (range + chunk - 1) / chunk;
-
-  // Per-region completion latch + first-exception capture, shared by the
-  // queued chunk tasks. Heap-allocated so the region state stays valid
-  // even while tasks still hold references during the final notify.
-  struct Region {
-    std::mutex mu;
-    std::condition_variable done_cv;
-    size_t pending;
-    std::exception_ptr first_error;
-  };
   auto region = std::make_shared<Region>();
-  region->pending = num_chunks;
+  region->begin = begin;
+  region->end = end;
+  region->fn = &fn;
+  region->metrics = obs::MetricsEnabled();
+  // The caller's trace context rides into every chunk so worker-side spans
+  // chain onto the caller's trace (one TLS read here, only when tracing is
+  // on; {0,0} otherwise is a no-op install).
+  if (obs::TracingEnabled()) region->trace_ctx = obs::CurrentTraceContext();
+  // ~4 chunks per lane balances uneven iteration costs without a stealing
+  // scheduler; `grain` keeps chunks from getting too fine.
+  const size_t target_chunks = num_threads() * 4;
+  region->chunk = std::max(grain, (range + target_chunks - 1) / target_chunks);
+  region->num_chunks = (range + region->chunk - 1) / region->chunk;
+  region->pending = region->num_chunks;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     TASFAR_CHECK_MSG(!stop_, "ParallelFor on a stopped ThreadPool");
-    for (size_t c = 0; c < num_chunks; ++c) {
-      const size_t lo = begin + c * chunk;
-      const size_t hi = std::min(lo + chunk, end);
-      queue_.emplace_back([region, lo, hi, &fn, metrics, trace_ctx] {
-        const uint64_t t0 = metrics ? obs::MonotonicMicros() : 0;
-        {
-          obs::ScopedTraceContext tctx(trace_ctx);
-          TASFAR_TRACE_SPAN("thread_pool.chunk");
-          try {
-            for (size_t i = lo; i < hi; ++i) fn(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> rlock(region->mu);
-            if (!region->first_error) {
-              region->first_error = std::current_exception();
-            }
-          }
-        }
-        if (metrics) {
-          BusyMicrosCounter()->Increment(obs::MonotonicMicros() - t0);
-        }
-        std::lock_guard<std::mutex> rlock(region->mu);
-        if (--region->pending == 0) region->done_cv.notify_all();
-      });
-    }
-    if (metrics) {
+    queue_.push_back(region);
+    if (region->metrics) {
       RegionsCounter()->Increment();
-      ChunksCounter()->Increment(num_chunks);
+      ChunksCounter()->Increment(region->num_chunks);
       QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
     }
   }
   cv_.notify_all();
+
+  // Run our own chunks until none is left to claim; regions queued ahead
+  // of ours (other callers') never delay this part.
+  tls_runs_chunks = true;
+  for (;;) {
+    const size_t c = region->next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= region->num_chunks) break;
+    RunChunk(region.get(), c);
+  }
+  tls_runs_chunks = false;
 
   std::unique_lock<std::mutex> rlock(region->mu);
   region->done_cv.wait(rlock, [&region] { return region->pending == 0; });

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -23,17 +24,23 @@ namespace tasfar {
 ///     callers write to disjoint, pre-sized outputs. Any computation whose
 ///     per-index work is a pure function of the index therefore produces
 ///     bit-identical results at every thread count (including 1).
-///  2. *No nesting surprises.* A ParallelFor issued from inside a pool
-///     worker runs inline on that worker (a thread-local flag marks worker
-///     threads), so nested parallel regions cannot deadlock the pool and
-///     total concurrency stays bounded by the pool size.
-///  3. *Simplicity over stealing.* Chunks are pushed to a single FIFO
-///     queue guarded by one mutex. The networks in this repo are small;
-///     chunk counts are tens, not millions, so a work-stealing scheduler
-///     would buy nothing.
+///  2. *The caller is a lane.* A pool of `n` threads spawns `n - 1`
+///     workers; the thread calling ParallelFor claims and runs chunks of
+///     its own region until none is left, and only then waits for the
+///     chunks workers took. A caller therefore never waits behind other
+///     callers' queued chunks for work it can do itself.
+///  3. *No nesting surprises.* A ParallelFor issued from inside a chunk
+///     (on a worker, or on a caller running its own chunk) runs inline on
+///     that thread (a thread-local flag marks chunk-running threads), so
+///     nested regions cannot deadlock the pool.
+///  4. *Simplicity over stealing.* Regions wait in a single FIFO guarded by
+///     one mutex; workers take chunks from the front region. The networks
+///     in this repo are small; chunk counts are tens, not millions, so a
+///     work-stealing scheduler would buy nothing.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (values 0 and 1 spawn none; every
+  /// A pool of `num_threads` lanes: the calling thread plus
+  /// `num_threads - 1` spawned workers (0 and 1 spawn none; every
   /// ParallelFor then runs inline on the calling thread).
   explicit ThreadPool(size_t num_threads);
 
@@ -43,17 +50,16 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Number of execution lanes (1 when no workers were spawned).
-  size_t num_threads() const {
-    return workers_.empty() ? 1 : workers_.size();
-  }
+  /// Number of execution lanes one ParallelFor caller gets: the workers
+  /// plus the caller itself.
+  size_t num_threads() const { return workers_.size() + 1; }
 
   /// Calls `fn(i)` for every i in [begin, end), partitioned into
   /// contiguous chunks of at least `grain` iterations (grain 0 is treated
-  /// as 1), and blocks until all iterations completed. Empty ranges
-  /// return immediately. If any `fn` throws, the first exception captured
-  /// is rethrown on the calling thread after the region drains (remaining
-  /// chunks still run).
+  /// as 1), and blocks until all iterations completed. The calling thread
+  /// runs chunks too. Empty ranges return immediately. If any `fn` throws,
+  /// the first exception captured is rethrown on the calling thread after
+  /// the region drains (remaining chunks still run).
   ///
   /// `fn` runs concurrently with itself: it must only touch state that is
   /// disjoint per index (or otherwise synchronized by the caller).
@@ -61,10 +67,16 @@ class ThreadPool {
                    const std::function<void(size_t)>& fn);
 
  private:
+  struct Region;
+
   void WorkerLoop();
+  /// Runs chunk `c` of `region` on the calling thread and retires it.
+  static void RunChunk(Region* region, size_t c);
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  /// Regions that may still have unclaimed chunks, oldest first. A region
+  /// the caller drained itself is popped by the next worker that looks.
+  std::deque<std::shared_ptr<Region>> queue_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
@@ -73,10 +85,12 @@ class ThreadPool {
 /// A single named long-lived thread with RAII join semantics — the one
 /// sanctioned way to run something *other than* data-parallel chunks off
 /// the calling thread (tools/lint forbids raw `std::thread` outside this
-/// file). The serving layer uses it for its network loop and its adapt-job
-/// runner (docs/THREADING.md §Background threads); compute inside the body
-/// still fans out through the global ParallelFor, so total CPU concurrency
-/// remains bounded by the pool size.
+/// file). The serving layer uses it for its network loop, its Predict
+/// compute lanes and its adapt-job runner (docs/THREADING.md §Long-lived
+/// threads). Compute inside a body fans out through the global
+/// ParallelFor, with the body's own thread as one of the lanes, so
+/// concurrency is bounded by the pool's workers plus the number of such
+/// callers.
 ///
 /// The body runs exactly once. Destruction joins (it does not signal the
 /// body to stop — owners needing cancellation must provide their own flag
@@ -100,7 +114,8 @@ class BackgroundThread {
   std::thread thread_;
 };
 
-/// Number of threads the global pool uses (lazily created on first use).
+/// Lanes of the global pool (lazily created on first use): its workers
+/// plus the calling thread, so TASFAR_NUM_THREADS=n reports n.
 size_t GetNumThreads();
 
 /// Replaces the global pool with one of `num_threads` threads (0 restores

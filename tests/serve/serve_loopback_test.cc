@@ -547,6 +547,8 @@ class RawConnection {
     return true;
   }
 
+  int fd() const { return fd_; }
+
   bool ReadFrame(Frame* frame) {
     for (;;) {
       switch (reader_.Next(frame)) {
@@ -565,6 +567,224 @@ class RawConnection {
   int fd_ = -1;
   FrameReader reader_;
 };
+
+// --- compute lanes (docs/SERVING.md §Threading) ----------------------------
+
+// A kPredict frame for `rows` rows of the demo target data, cycled.
+std::string PredictFrame(const std::string& user, uint32_t rows) {
+  const Tensor& src = Bundle().target_rows;
+  const size_t cols = src.dim(1);
+  PayloadWriter w;
+  w.PutString(user);
+  w.PutU32(rows);
+  w.PutU32(static_cast<uint32_t>(cols));
+  for (size_t i = 0; i < rows * cols; ++i) {
+    w.PutDouble(src.data()[i % src.size()]);
+  }
+  return EncodeFrame(MessageType::kPredict, w.Take());
+}
+
+std::string UserFrame(MessageType type, const std::string& user) {
+  PayloadWriter w;
+  w.PutString(user);
+  return EncodeFrame(type, w.Take());
+}
+
+// Parks the next Predict to reach a compute lane (serve.predict_hold) and
+// returns once it is parked; later Predicts pass. Release() lets it go.
+class PredictHold {
+ public:
+  PredictHold() {
+    EXPECT_TRUE(failpoint::Configure("serve.predict_hold").ok());
+  }
+  ~PredictHold() { Release(); }
+
+  bool WaitParked() {
+    for (int i = 0; i < 10000; ++i) {
+      if (failpoint::StatsOf("serve.predict_hold").fires > 0) {
+        // Still named, so the parked Predict stays put; p=0 lets the
+        // next ones through.
+        return failpoint::Configure("serve.predict_hold:p=0").ok();
+      }
+      ::poll(nullptr, 0, 1);
+    }
+    return false;
+  }
+
+  void Release() { failpoint::Disable(); }
+};
+
+// True when `fd` has bytes to read within `ms` milliseconds.
+bool Readable(int fd, int ms) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, ms) == 1;
+}
+
+TEST(ServeLoopbackTest, SmallPredictReturnsWhileALargeOneIsOnItsLane) {
+  const size_t original_threads = GetNumThreads();
+  SetNumThreads(2);  // Two compute lanes: one parked, one serving.
+  const uint32_t cols = static_cast<uint32_t>(Bundle().target_rows.dim(1));
+  {
+    std::unique_ptr<Server> server = StartServer();
+    Client light;
+    ASSERT_TRUE(light.Connect(server->port()).ok());
+    ASSERT_TRUE(light.CreateSession("light", kSessionSeed, cols).ok());
+    ASSERT_TRUE(light.CreateSession("heavy", kSessionSeed, cols).ok());
+    RawConnection heavy;
+    ASSERT_TRUE(heavy.Connect(server->port()));
+
+    PredictHold hold;
+    ASSERT_TRUE(heavy.Send(PredictFrame("heavy", 2000)));
+    ASSERT_TRUE(hold.WaitParked());
+    const Tensor probe = Bundle().target_rows.SliceRows(0, 8);
+    Result<ClientPrediction> small =
+        light.Predict("light", 8, cols, probe.data());
+    ASSERT_TRUE(small.ok()) << small.status().ToString();
+    EXPECT_EQ(small.value().predictions.size(), 8u);
+    // The 2,000-row Predict is still on its lane: no reply yet.
+    EXPECT_FALSE(Readable(heavy.fd(), 0));
+
+    hold.Release();
+    Frame resp;
+    ASSERT_TRUE(heavy.ReadFrame(&resp));
+    ASSERT_EQ(resp.type, MessageType::kPredictResponse);
+    PayloadReader r(resp.payload);
+    uint8_t from_adapted = 0;
+    uint32_t rows = 0;
+    ASSERT_TRUE(r.GetU8(&from_adapted));
+    ASSERT_TRUE(r.GetU32(&rows));
+    EXPECT_EQ(rows, 2000u);
+    server->Stop();
+  }
+  SetNumThreads(original_threads);
+}
+
+TEST(ServeLoopbackTest, PipelinedPredictAndQueryAreAnsweredInOrder) {
+  const uint32_t cols = static_cast<uint32_t>(Bundle().target_rows.dim(1));
+  std::unique_ptr<Server> server = StartServer();
+  Client setup;
+  ASSERT_TRUE(setup.Connect(server->port()).ok());
+  ASSERT_TRUE(setup.CreateSession("pipe", kSessionSeed, cols).ok());
+  RawConnection raw;
+  ASSERT_TRUE(raw.Connect(server->port()));
+
+  PredictHold hold;
+  // One write: Predict, QuerySession, Predict, QuerySession.
+  ASSERT_TRUE(raw.Send(PredictFrame("pipe", 4) +
+                       UserFrame(MessageType::kQuerySession, "pipe") +
+                       PredictFrame("pipe", 3) +
+                       UserFrame(MessageType::kQuerySession, "pipe")));
+  ASSERT_TRUE(hold.WaitParked());
+  // The query behind the parked Predict waits for it, although the
+  // network thread could answer it at once.
+  EXPECT_FALSE(Readable(raw.fd(), 50));
+  hold.Release();
+
+  const MessageType expected[] = {
+      MessageType::kPredictResponse, MessageType::kSessionInfoResponse,
+      MessageType::kPredictResponse, MessageType::kSessionInfoResponse};
+  uint32_t predicted_rows[] = {0, 0};
+  size_t predicts = 0;
+  for (const MessageType type : expected) {
+    Frame resp;
+    ASSERT_TRUE(raw.ReadFrame(&resp));
+    ASSERT_EQ(resp.type, type);
+    if (type == MessageType::kPredictResponse) {
+      PayloadReader r(resp.payload);
+      uint8_t from_adapted = 0;
+      ASSERT_TRUE(r.GetU8(&from_adapted));
+      ASSERT_TRUE(r.GetU32(&predicted_rows[predicts++]));
+    }
+  }
+  EXPECT_EQ(predicted_rows[0], 4u);
+  EXPECT_EQ(predicted_rows[1], 3u);
+}
+
+obs::Histogram* ComputeSpans() {
+  return obs::Registry::Get().GetHistogram("tasfar.span.serve.compute.ms",
+                                           obs::Histogram::LatencyEdgesMs());
+}
+
+TEST(ServeLoopbackTest, CloseSessionAndStopWithAPredictInFlightAreSafe) {
+  obs::SetMetricsEnabled(true);
+  const size_t original_threads = GetNumThreads();
+  SetNumThreads(2);
+  const uint32_t cols = static_cast<uint32_t>(Bundle().target_rows.dim(1));
+  std::unique_ptr<Server> server = StartServer();
+  Client admin;
+  ASSERT_TRUE(admin.Connect(server->port()).ok());
+  ASSERT_TRUE(admin.CreateSession("victim", kSessionSeed, cols).ok());
+
+  // CloseSession from another connection: the in-flight Predict keeps the
+  // session alive and is answered; the next one finds no session.
+  {
+    RawConnection raw;
+    ASSERT_TRUE(raw.Connect(server->port()));
+    PredictHold hold;
+    ASSERT_TRUE(raw.Send(PredictFrame("victim", 16)));
+    ASSERT_TRUE(hold.WaitParked());
+    ASSERT_TRUE(admin.CloseSession("victim").ok());
+    hold.Release();
+    Frame resp;
+    ASSERT_TRUE(raw.ReadFrame(&resp));
+    EXPECT_EQ(resp.type, MessageType::kPredictResponse);
+    ASSERT_TRUE(raw.Send(PredictFrame("victim", 16)));
+    ASSERT_TRUE(raw.ReadFrame(&resp));
+    EXPECT_EQ(resp.type, MessageType::kErrorResponse);
+  }
+
+  // The client hangs up mid-Predict. Its server-side fd stays open until
+  // the lane is done, so new connections cannot be handed that fd number
+  // and receive the orphaned reply.
+  ASSERT_TRUE(admin.CreateSession("quitter", kSessionSeed, cols).ok());
+  {
+    PredictHold hold;
+    {
+      RawConnection quitter;
+      ASSERT_TRUE(quitter.Connect(server->port()));
+      ASSERT_TRUE(quitter.Send(PredictFrame("quitter", 500)));
+      ASSERT_TRUE(hold.WaitParked());
+    }  // Closes the client side.
+    std::vector<std::unique_ptr<RawConnection>> fresh;
+    for (int i = 0; i < 4; ++i) {
+      fresh.push_back(std::make_unique<RawConnection>());
+      ASSERT_TRUE(fresh.back()->Connect(server->port()));
+      ASSERT_TRUE(fresh.back()->Send(EncodeFrame(MessageType::kPing, "")));
+      Frame pong;
+      ASSERT_TRUE(fresh.back()->ReadFrame(&pong));
+      EXPECT_EQ(pong.type, MessageType::kPongResponse);
+    }
+    // `serve.compute` closes after the reply was sent.
+    const uint64_t computed = ComputeSpans()->count();
+    hold.Release();
+    for (int i = 0; i < 10000 && ComputeSpans()->count() == computed; ++i) {
+      ::poll(nullptr, 0, 1);
+    }
+    ASSERT_GT(ComputeSpans()->count(), computed);
+    for (const auto& conn : fresh) {
+      EXPECT_FALSE(Readable(conn->fd(), 20)) << "stray bytes";
+    }
+  }
+
+  // Stop with a Predict parked on a lane: Stop releases it, the lane
+  // answers before any fd closes, and the client then sees the reply
+  // followed by EOF.
+  {
+    RawConnection raw;
+    ASSERT_TRUE(raw.Connect(server->port()));
+    ASSERT_TRUE(admin.CreateSession("last", kSessionSeed, cols).ok());
+    PredictHold hold;
+    ASSERT_TRUE(raw.Send(PredictFrame("last", 16)));
+    ASSERT_TRUE(hold.WaitParked());
+    server->Stop();
+    Frame resp;
+    ASSERT_TRUE(raw.ReadFrame(&resp));
+    EXPECT_EQ(resp.type, MessageType::kPredictResponse);
+    EXPECT_FALSE(raw.ReadFrame(&resp));  // EOF.
+  }
+  server.reset();
+  SetNumThreads(original_threads);
+}
 
 TEST(ServeLoopbackTest, OverflowingRowCountsAreRejectedNotFatal) {
   std::unique_ptr<Server> server = StartServer();

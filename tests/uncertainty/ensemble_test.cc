@@ -202,8 +202,10 @@ TEST(SourceEnsembleTest, PredictMeanEqualsSourcePrediction) {
 }
 
 TEST(SourceEnsembleTest, SteadyStatePredictAllocatesNothing) {
-  // Member passes run on per-thread Workspace arenas (docs/MEMORY.md):
-  // once warm, Predict must not allocate a single tensor buffer.
+  // Member k runs in its own Workspace arena, whichever thread picks it
+  // up (docs/MEMORY.md): once warm, Predict must not allocate a single
+  // tensor buffer, at any TASFAR_NUM_THREADS (ctest also runs this case
+  // at 1, 2 and 8).
   Rng rng(35);
   auto model = DropoutModel(&rng);
   DeepEnsemble ensemble = DeepEnsemble::FromSource(model.get(), 5, 0x5eed);
