@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,11 @@ struct RuleCase {
   const char* source;
   int expected;
 };
+
+// Printing a case by name keeps its discovered test name stable; the
+// default byte dump would spell out the string pointers, which move
+// from run to run.
+void PrintTo(const RuleCase& c, std::ostream* os) { *os << c.name; }
 
 class ParallelCaptureTest : public ::testing::TestWithParam<RuleCase> {};
 
@@ -205,6 +211,8 @@ struct PathRuleCase {
   const char* source;
   int expected;
 };
+
+void PrintTo(const PathRuleCase& c, std::ostream* os) { *os << c.name; }
 
 class WorkspaceEscapeTest : public ::testing::TestWithParam<PathRuleCase> {};
 
