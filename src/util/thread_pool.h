@@ -14,7 +14,7 @@
 namespace tasfar {
 
 /// Fixed-size thread pool with a deterministic `ParallelFor` — the only
-/// parallel execution primitive in the library (tools/lint forbids raw
+/// parallel execution primitive in the library (tools/analyze forbids raw
 /// `std::thread` anywhere else; see docs/THREADING.md for the threading
 /// model and determinism contract).
 ///
@@ -84,7 +84,7 @@ class ThreadPool {
 
 /// A single named long-lived thread with RAII join semantics — the one
 /// sanctioned way to run something *other than* data-parallel chunks off
-/// the calling thread (tools/lint forbids raw `std::thread` outside this
+/// the calling thread (tools/analyze forbids raw `std::thread` outside this
 /// file). The serving layer uses it for its network loop, its Predict
 /// compute lanes and its adapt-job runner (docs/THREADING.md §Long-lived
 /// threads). Compute inside a body fans out through the global

@@ -11,13 +11,13 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
-#include "nn/rmsprop.h"
+#include "nn/optimizer.h"
 #include "nn/trainer.h"
 
 namespace tasfar {
 namespace {
 
-enum class OptKind { kSgd, kSgdMomentum, kAdam, kRmsProp };
+enum class OptKind { kSgd, kSgdMomentum, kAdam };
 
 class OptimizerPropertyTest : public ::testing::TestWithParam<OptKind> {
  protected:
@@ -29,8 +29,6 @@ class OptimizerPropertyTest : public ::testing::TestWithParam<OptKind> {
         return std::make_unique<Sgd>(0.02, 0.9);
       case OptKind::kAdam:
         return std::make_unique<Adam>(0.02);
-      case OptKind::kRmsProp:
-        return std::make_unique<RmsProp>(0.01);
     }
     return nullptr;
   }
@@ -122,8 +120,7 @@ TEST_P(OptimizerPropertyTest, DropoutOffTrainingIsDeterministic) {
 INSTANTIATE_TEST_SUITE_P(AllOptimizers, OptimizerPropertyTest,
                          ::testing::Values(OptKind::kSgd,
                                            OptKind::kSgdMomentum,
-                                           OptKind::kAdam,
-                                           OptKind::kRmsProp),
+                                           OptKind::kAdam),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case OptKind::kSgd:
@@ -132,8 +129,6 @@ INSTANTIATE_TEST_SUITE_P(AllOptimizers, OptimizerPropertyTest,
                                return "SgdMomentum";
                              case OptKind::kAdam:
                                return "Adam";
-                             case OptKind::kRmsProp:
-                               return "RmsProp";
                            }
                            return "?";
                          });

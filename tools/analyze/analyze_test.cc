@@ -17,6 +17,28 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Every finding AnalyzeSource reports for one file, ordered by line.
+std::vector<Finding> FileFindings(const std::string& path,
+                                  const std::string& source) {
+  return AnalyzeSource(path, source).findings;
+}
+
+std::vector<std::string> Rules(const std::vector<Finding>& findings) {
+  std::vector<std::string> rules;
+  rules.reserve(findings.size());
+  for (const Finding& f : findings) rules.push_back(f.rule);
+  return rules;
+}
+
+/// The source tree's root as seen from the test's working directory
+/// (ctest runs this binary from build/tools/analyze), or "" if not found.
+std::string RepoRoot() {
+  for (const char* root : {".", "..", "../..", "../../.."}) {
+    if (fs::exists(fs::path(root) / "tools/analyze/CACHE_SCHEMA")) return root;
+  }
+  return "";
+}
+
 int CountRule(const FileFacts& facts, const std::string& rule) {
   int n = 0;
   for (const Finding& f : facts.findings) {
@@ -92,6 +114,43 @@ TEST(LexerTest, ContentHashIsStableAndDiscriminates) {
   EXPECT_EQ(HashContent("abc"), HashContent("abc"));
   EXPECT_NE(HashContent("abc"), HashContent("abd"));
   EXPECT_NE(HashContent(""), HashContent(" "));
+}
+
+// --- StripCommentsAndStrings ------------------------------------------------
+
+TEST(StripTest, RemovesLineComments) {
+  const std::string out =
+      StripCommentsAndStrings("int x;  // std::rand here\nint y;");
+  EXPECT_EQ(out.find("std::rand"), std::string::npos);
+  EXPECT_NE(out.find("int y;"), std::string::npos);
+}
+
+TEST(StripTest, RemovesBlockCommentsButKeepsNewlines) {
+  const std::string out =
+      StripCommentsAndStrings("a /* std::rand\nstd::rand */ b");
+  EXPECT_EQ(out.find("std::rand"), std::string::npos);
+  // The newline inside the comment survives so line numbers stay stable.
+  EXPECT_NE(out.find('\n'), std::string::npos);
+  EXPECT_NE(out.find('a'), std::string::npos);
+  EXPECT_NE(out.find('b'), std::string::npos);
+}
+
+TEST(StripTest, RemovesStringAndCharLiterals) {
+  const std::string out = StripCommentsAndStrings(
+      "f(\"std::rand\"); g('\\\"'); h(\"esc\\\"std::rand\");");
+  EXPECT_EQ(out.find("std::rand"), std::string::npos);
+}
+
+TEST(StripTest, RemovesRawStrings) {
+  const std::string out =
+      StripCommentsAndStrings("auto s = R\"(std::rand \" )\"; int k;");
+  EXPECT_EQ(out.find("std::rand"), std::string::npos);
+  EXPECT_NE(out.find("int k;"), std::string::npos);
+}
+
+TEST(StripTest, KeepsCodeIntact) {
+  const std::string src = "int dividend = a / b; int c = a / *p;";
+  EXPECT_EQ(StripCommentsAndStrings(src), src);
 }
 
 // --- parallel-capture -------------------------------------------------------
@@ -289,6 +348,675 @@ INSTANTIATE_TEST_SUITE_P(
                      "Rng MakeChild(uint64_t seed) { return Rng(seed ^ 1); }\n",
                      0}));
 
+// --- rng-discipline ---------------------------------------------------------
+
+TEST(RngDisciplineTest, FlagsStdRand) {
+  const auto findings = FileFindings("src/foo.cc", "int x = std::rand();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "rng-discipline");
+  EXPECT_EQ(findings[0].line, 1);
+}
+
+TEST(RngDisciplineTest, FlagsBareRandCall) {
+  const auto findings = FileFindings("tests/foo_test.cc", "int x = rand();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "rng-discipline");
+}
+
+TEST(RngDisciplineTest, FlagsMt19937AndRandomDevice) {
+  const auto findings = FileFindings(
+      "bench/foo.cc", "std::mt19937 gen(std::random_device{}());\n");
+  EXPECT_EQ(findings.size(), 2u);
+  for (const Finding& f : findings) EXPECT_EQ(f.rule, "rng-discipline");
+}
+
+TEST(RngDisciplineTest, FlagsUnqualifiedMt19937) {
+  const auto findings =
+      FileFindings("src/foo.cc", "using std::mt19937;\nmt19937 gen;\n");
+  EXPECT_EQ(findings.size(), 2u);
+}
+
+TEST(RngDisciplineTest, FlagsArglessTimeSeeding) {
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(time(NULL));\n").size(), 1u);
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(time(nullptr));\n").size(), 1u);
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(time( 0 ));\n").size(), 1u);
+  EXPECT_EQ(FileFindings("src/a.cc", "seed(std::time(nullptr));\n").size(), 1u);
+}
+
+TEST(RngDisciplineTest, AllowsTimeWithRealArgument) {
+  EXPECT_TRUE(FileFindings("src/a.cc", "time_t t; time(&t);\n").empty());
+}
+
+TEST(RngDisciplineTest, NoFalsePositiveOnSubstrings) {
+  // "rand" inside identifiers, Rng usage, and elapsed-time helpers are fine.
+  const std::string src =
+      "int operand = 1;\n"
+      "double r = rng.Uniform();\n"
+      "double elapsed_time(int x);\n"
+      "my_rand_helper();\n";
+  EXPECT_TRUE(FileFindings("src/foo.cc", src).empty());
+}
+
+TEST(RngDisciplineTest, IgnoresCommentsAndStrings) {
+  const std::string src =
+      "// std::rand is banned\n"
+      "const char* msg = \"std::mt19937\";\n";
+  EXPECT_TRUE(FileFindings("src/foo.cc", src).empty());
+}
+
+TEST(RngDisciplineTest, AppliesOutsideSrcToo) {
+  EXPECT_EQ(FileFindings("examples/demo.cpp", "std::rand();\n").size(), 1u);
+  EXPECT_EQ(FileFindings("tools/gen.cc", "std::rand();\n").size(), 1u);
+}
+
+// --- thread-discipline ------------------------------------------------------
+
+TEST(ThreadDisciplineTest, FlagsRawStdThread) {
+  const auto findings =
+      FileFindings("src/core/foo.cc", "std::thread t([]{});\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "thread-discipline");
+  EXPECT_EQ(findings[0].line, 1);
+}
+
+TEST(ThreadDisciplineTest, FlagsJthreadAndAsync) {
+  const auto findings = FileFindings(
+      "bench/foo.cc", "std::jthread t([]{});\nauto f = std::async([]{});\n");
+  ASSERT_EQ(findings.size(), 2u);
+  for (const Finding& f : findings) {
+    EXPECT_EQ(f.rule, "thread-discipline");
+  }
+}
+
+TEST(ThreadDisciplineTest, AppliesOutsideSrcToo) {
+  EXPECT_EQ(FileFindings("tests/foo_test.cc", "std::thread t;\n").size(), 1u);
+  EXPECT_EQ(FileFindings("examples/demo.cpp", "std::thread t;\n").size(), 1u);
+}
+
+TEST(ThreadDisciplineTest, AllowsThreadPoolImplementation) {
+  EXPECT_TRUE(FileFindings("src/util/thread_pool.cc",
+                           "workers_.emplace_back(std::thread([]{}));\n")
+                  .empty());
+  // The .h snippet still gets the header-guard rule; only the
+  // thread-discipline exemption is under test here.
+  for (const Finding& f :
+       FileFindings("src/util/thread_pool.h",
+                    "std::vector<std::thread> workers_;\n")) {
+    EXPECT_NE(f.rule, "thread-discipline");
+  }
+}
+
+TEST(ThreadDisciplineTest, AllowsThisThreadAndThreadPool) {
+  // std::this_thread (sleep/yield) and our own ThreadPool are fine; so is
+  // the word "thread" in identifiers.
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "std::this_thread::yield();\n"
+                           "ThreadPool pool(4);\n"
+                           "size_t num_threads = 2;\n")
+                  .empty());
+}
+
+TEST(ThreadDisciplineTest, IgnoresCommentsAndStrings) {
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "// std::thread is banned here\n"
+                           "const char* s = \"std::thread\";\n")
+                  .empty());
+}
+
+// --- no-iostream ------------------------------------------------------------
+
+TEST(NoIostreamTest, FlagsIostreamInSrc) {
+  const auto findings =
+      FileFindings("src/core/foo.cc", "#include <iostream>\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-iostream");
+}
+
+TEST(NoIostreamTest, AllowsIostreamOutsideSrc) {
+  EXPECT_TRUE(
+      FileFindings("examples/demo.cpp", "#include <iostream>\n").empty());
+  EXPECT_TRUE(
+      FileFindings("tests/foo_test.cc", "#include <iostream>\n").empty());
+}
+
+TEST(NoIostreamTest, AllowsOtherStreamHeadersInSrc) {
+  EXPECT_TRUE(FileFindings("src/foo.cc",
+                           "#include <sstream>\n#include <fstream>\n")
+                  .empty());
+}
+
+// --- check-not-assert -------------------------------------------------------
+
+TEST(CheckNotAssertTest, FlagsAssertCallAndHeaderInSrc) {
+  const auto findings = FileFindings(
+      "src/foo.cc", "#include <cassert>\nvoid f() { assert(1 == 1); }\n");
+  EXPECT_EQ(Rules(findings),
+            (std::vector<std::string>{"check-not-assert",
+                                      "check-not-assert"}));
+}
+
+TEST(CheckNotAssertTest, AllowsTasfarCheckAndStaticAssert) {
+  const std::string src =
+      "TASFAR_CHECK(x > 0);\n"
+      "static_assert(sizeof(int) == 4);\n";
+  EXPECT_TRUE(FileFindings("src/foo.cc", src).empty());
+}
+
+TEST(CheckNotAssertTest, AllowsAssertOutsideSrc) {
+  EXPECT_TRUE(FileFindings("tests/foo_test.cc", "assert(true);\n").empty());
+}
+
+// --- timing-discipline ------------------------------------------------------
+
+TEST(TimingDisciplineTest, FlagsStdChronoInSrc) {
+  const auto findings = FileFindings(
+      "src/core/foo.cc",
+      "auto t0 = std::chrono::steady_clock::now();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "timing-discipline");
+  EXPECT_EQ(findings[0].line, 1);
+}
+
+TEST(TimingDisciplineTest, FlagsChronoIncludeOnce) {
+  const auto findings =
+      FileFindings("src/util/foo.cc", "#include <chrono>\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "timing-discipline");
+}
+
+TEST(TimingDisciplineTest, AllowsChronoInObs) {
+  EXPECT_TRUE(FileFindings("src/obs/clock.cc",
+                           "#include <chrono>\n"
+                           "auto t = std::chrono::steady_clock::now();\n")
+                  .empty());
+}
+
+TEST(TimingDisciplineTest, AllowsChronoOutsideSrc) {
+  EXPECT_TRUE(FileFindings("bench/foo.cc",
+                           "auto t = std::chrono::steady_clock::now();\n")
+                  .empty());
+  EXPECT_TRUE(
+      FileFindings("tests/foo_test.cc", "#include <chrono>\n").empty());
+}
+
+TEST(TimingDisciplineTest, NoFalsePositiveOnIdentifiers) {
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "int chronology = 1;\n"
+                           "double my_chrono_like = 2.0;\n")
+                  .empty());
+}
+
+TEST(TimingDisciplineTest, IgnoresCommentsAndStrings) {
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "// std::chrono would be banned here\n"
+                           "const char* s = \"std::chrono\";\n")
+                  .empty());
+}
+
+// --- memory-discipline ------------------------------------------------------
+
+TEST(MemoryDisciplineTest, FlagsByValueTensorParam) {
+  const auto findings =
+      FileFindings("src/nn/foo.cc", "Tensor Forward(Tensor input);\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "memory-discipline");
+  EXPECT_EQ(findings[0].line, 1);
+}
+
+TEST(MemoryDisciplineTest, FlagsConstByValueAndSecondParam) {
+  const auto findings = FileFindings(
+      "src/nn/foo.cc", "void F(const Tensor t);\nvoid G(int n, Tensor t);\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 1);
+  EXPECT_EQ(findings[1].line, 2);
+}
+
+TEST(MemoryDisciplineTest, AllowsReferenceAndPointerParams) {
+  EXPECT_TRUE(FileFindings("src/nn/foo.cc",
+                           "Tensor F(const Tensor& a, Tensor* out);\n"
+                           "void G(Tensor& inout, const Tensor* p);\n")
+                  .empty());
+}
+
+TEST(MemoryDisciplineTest, AllowsLocalsReturnsAndTemplates) {
+  EXPECT_TRUE(FileFindings("src/nn/foo.cc",
+                           "Tensor F();\n"
+                           "void G() {\n"
+                           "  Tensor local = F();\n"
+                           "  std::vector<Tensor> all;\n"
+                           "  H(Tensor({2, 2}));\n"
+                           "}\n")
+                  .empty());
+}
+
+TEST(MemoryDisciplineTest, FlagsVectorCopyOfTensorData) {
+  const auto findings = FileFindings(
+      "src/nn/foo.cc",
+      "std::vector<double> v(std::vector<double>(t.data(), t.data() + "
+      "t.size()));\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "memory-discipline");
+}
+
+TEST(MemoryDisciplineTest, AllowsVectorWithoutTensorData) {
+  EXPECT_TRUE(
+      FileFindings("src/nn/foo.cc", "std::vector<double> v(n, 0.0);\n")
+          .empty());
+}
+
+TEST(MemoryDisciplineTest, ExemptsTensorInternalsFromCopyBan) {
+  EXPECT_TRUE(FileFindings("src/tensor/tensor.cc",
+                           "auto v = std::vector<double>(src.data(), "
+                           "src.data() + n);\n")
+                  .empty());
+}
+
+TEST(MemoryDisciplineTest, NotAppliedOutsideSrc) {
+  EXPECT_TRUE(
+      FileFindings("tests/nn/foo_test.cc", "void F(Tensor by_value);\n")
+          .empty());
+}
+
+// --- estimator-discipline ---------------------------------------------------
+
+TEST(EstimatorDisciplineTest, FlagsConcreteEstimatorsInSrc) {
+  const auto findings = FileFindings(
+      "src/core/tasfar.cc",
+      "McDropoutPredictor p(model, 20);\n"
+      "auto e = DeepEnsemble::FromSource(model, 5, seed);\n"
+      "LastLayerLaplace l(model);\n");
+  ASSERT_EQ(findings.size(), 3u);
+  for (const Finding& f : findings) {
+    EXPECT_EQ(f.rule, "estimator-discipline");
+    EXPECT_NE(f.message.find("MakeEstimator"), std::string::npos);
+  }
+  EXPECT_EQ(findings[0].line, 1);
+  EXPECT_EQ(findings[1].line, 2);
+  EXPECT_EQ(findings[2].line, 3);
+}
+
+TEST(EstimatorDisciplineTest, AllowsTheSeamItself) {
+  EXPECT_TRUE(FileFindings("src/uncertainty/estimator.cc",
+                           "return std::make_unique<McDropoutPredictor>(\n"
+                           "    model, config.mc_samples);\n")
+                  .empty());
+}
+
+TEST(EstimatorDisciplineTest, AllowsSeamTypesAndEnumerators) {
+  // The abstract interface, the factory, and backend enumerators are how
+  // the rest of src/ is *supposed* to talk about estimators.
+  EXPECT_TRUE(
+      FileFindings(
+          "src/serve/session.cc",
+          "std::unique_ptr<UncertaintyEstimator> e =\n"
+          "    MakeEstimator(model, config);\n"
+          "if (b == UncertaintyBackend::kDeepEnsemble) { Charge(); }\n")
+          .empty());
+}
+
+TEST(EstimatorDisciplineTest, NotAppliedOutsideSrc) {
+  EXPECT_TRUE(
+      FileFindings("tests/uncertainty/ensemble_test.cc",
+                   "DeepEnsemble e = DeepEnsemble::FromSource(m, 5, 1);\n")
+          .empty());
+  EXPECT_TRUE(
+      FileFindings("bench/bench_micro_core.cc", "LastLayerLaplace l(&model);\n")
+          .empty());
+}
+
+TEST(EstimatorDisciplineTest, IgnoresCommentsAndStrings) {
+  EXPECT_TRUE(FileFindings("src/core/foo.cc",
+                           "// McDropoutPredictor would be banned here\n"
+                           "const char* s = \"DeepEnsemble\";\n")
+                  .empty());
+}
+
+// --- header-guard -----------------------------------------------------------
+
+TEST(HeaderGuardTest, ExpectedGuardDropsSrcPrefix) {
+  EXPECT_EQ(ExpectedHeaderGuard("src/util/rng.h"), "TASFAR_UTIL_RNG_H_");
+  EXPECT_EQ(ExpectedHeaderGuard("src/core/partitioner.h"),
+            "TASFAR_CORE_PARTITIONER_H_");
+}
+
+TEST(HeaderGuardTest, ExpectedGuardKeepsNonSrcRoots) {
+  EXPECT_EQ(ExpectedHeaderGuard("bench/bench_common.h"),
+            "TASFAR_BENCH_BENCH_COMMON_H_");
+  EXPECT_EQ(ExpectedHeaderGuard("tools/lint/lint.h"),
+            "TASFAR_TOOLS_LINT_LINT_H_");
+}
+
+TEST(HeaderGuardTest, AcceptsCorrectGuard) {
+  const std::string src =
+      "#ifndef TASFAR_UTIL_FOO_H_\n"
+      "#define TASFAR_UTIL_FOO_H_\n"
+      "#endif  // TASFAR_UTIL_FOO_H_\n";
+  EXPECT_TRUE(FileFindings("src/util/foo.h", src).empty());
+}
+
+TEST(HeaderGuardTest, FlagsMissingGuard) {
+  const auto findings = FileFindings("src/util/foo.h", "int x;\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "header-guard");
+}
+
+TEST(HeaderGuardTest, FlagsWrongGuardName) {
+  const std::string src =
+      "#ifndef FOO_H\n#define FOO_H\n#endif\n";
+  const auto findings = FileFindings("src/util/foo.h", src);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("TASFAR_UTIL_FOO_H_"),
+            std::string::npos);
+}
+
+TEST(HeaderGuardTest, FlagsGuardNeverDefined) {
+  const std::string src = "#ifndef TASFAR_UTIL_FOO_H_\nint x;\n#endif\n";
+  const auto findings = FileFindings("src/util/foo.h", src);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("never #defined"), std::string::npos);
+}
+
+TEST(HeaderGuardTest, SkipsNonHeaderFiles) {
+  EXPECT_TRUE(FileFindings("src/util/foo.cc", "int x;\n").empty());
+}
+
+// --- ordering ---------------------------------------------------------------
+
+TEST(LintSourceTest, FindingsSortedByLine) {
+  const std::string src =
+      "int a = 1;\n"
+      "std::mt19937 g;\n"
+      "int b = std::rand();\n";
+  const auto findings = FileFindings("src/foo.cc", src);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[1].line, 3);
+}
+
+// --- protocol-doc-sync ------------------------------------------------------
+
+namespace {
+
+// Minimal header/doc pair that is in sync; tests below perturb one side.
+const char kSyncedHeader[] =
+    "enum class MessageType : std::uint16_t {\n"
+    "  kCreateSession = 1,\n"
+    "  kPing = 10,\n"
+    "  kOkResponse = 128,\n"
+    "};\n"
+    "enum class WireError : std::uint16_t {\n"
+    "  kBadRequest = 1,\n"
+    "};\n";
+
+// The estimator seam's backend enum rides the same doc-sync rule: its
+// values are kCreateSession's backend byte.
+const char kSyncedEstimatorHeader[] =
+    "enum class UncertaintyBackend : uint8_t {\n"
+    "  kMcDropout = 0,\n"
+    "  kDeepEnsemble = 1,\n"
+    "};\n";
+
+const char kSyncedDoc[] =
+    "| Message | Value |\n"
+    "|---------|-------|\n"
+    "| `kCreateSession` | 1 |\n"
+    "| `kPing` | 10 |\n"
+    "| `kOkResponse` | 128 |\n"
+    "\n"
+    "| Error | Value |\n"
+    "| `kBadRequest` | 1 |\n"
+    "\n"
+    "| Backend | Value |\n"
+    "| `kMcDropout` | 0 |\n"
+    "| `kDeepEnsemble` | 1 |\n";
+
+}  // namespace
+
+TEST(ProtocolDocSyncTest, CleanWhenInSync) {
+  EXPECT_TRUE(CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader,
+                                   kSyncedDoc)
+                  .empty());
+}
+
+TEST(ProtocolDocSyncTest, FlagsEnumeratorMissingFromDoc) {
+  std::string doc(kSyncedDoc);
+  doc.erase(doc.find("| `kPing` | 10 |\n"), sizeof("| `kPing` | 10 |\n") - 1);
+  const auto findings =
+      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "protocol-doc-sync");
+  EXPECT_NE(findings[0].message.find("kPing"), std::string::npos);
+}
+
+TEST(ProtocolDocSyncTest, FlagsValueDisagreement) {
+  std::string doc(kSyncedDoc);
+  doc.replace(doc.find("| `kPing` | 10 |"), sizeof("| `kPing` | 10 |") - 1,
+              "| `kPing` | 11 |");
+  const auto findings =
+      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("kPing"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("10"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("11"), std::string::npos);
+}
+
+TEST(ProtocolDocSyncTest, FlagsDocRowWithNoEnumerator) {
+  std::string doc(kSyncedDoc);
+  doc += "| `kGhostMessage` | 42 |\n";
+  const auto findings =
+      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("kGhostMessage"), std::string::npos);
+}
+
+TEST(ProtocolDocSyncTest, FlagsEnumeratorWithoutExplicitValue) {
+  std::string header(kSyncedHeader);
+  header.replace(header.find("kPing = 10,"), sizeof("kPing = 10,") - 1,
+                 "kPing,");
+  const auto findings =
+      CheckProtocolDocSync(header, kSyncedEstimatorHeader, kSyncedDoc);
+  ASSERT_FALSE(findings.empty());
+  EXPECT_EQ(findings[0].rule, "protocol-doc-sync");
+}
+
+TEST(ProtocolDocSyncTest, FlagsMissingEnumBlock) {
+  const auto findings =
+      CheckProtocolDocSync("int x;\n", kSyncedEstimatorHeader, kSyncedDoc);
+  ASSERT_FALSE(findings.empty());
+  EXPECT_NE(findings[0].message.find("MessageType"), std::string::npos);
+}
+
+TEST(ProtocolDocSyncTest, FlagsBackendEnumeratorMissingFromDoc) {
+  std::string doc(kSyncedDoc);
+  doc.erase(doc.find("| `kDeepEnsemble` | 1 |\n"),
+            sizeof("| `kDeepEnsemble` | 1 |\n") - 1);
+  const auto findings =
+      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "protocol-doc-sync");
+  EXPECT_NE(findings[0].message.find("UncertaintyBackend::kDeepEnsemble"),
+            std::string::npos);
+}
+
+TEST(ProtocolDocSyncTest, FlagsBackendValueDisagreement) {
+  std::string doc(kSyncedDoc);
+  doc.replace(doc.find("| `kDeepEnsemble` | 1 |"),
+              sizeof("| `kDeepEnsemble` | 1 |") - 1,
+              "| `kDeepEnsemble` | 2 |");
+  const auto findings =
+      CheckProtocolDocSync(kSyncedHeader, kSyncedEstimatorHeader, doc);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("kDeepEnsemble"), std::string::npos);
+}
+
+TEST(ProtocolDocSyncTest, FlagsMissingBackendEnumBlock) {
+  const auto findings =
+      CheckProtocolDocSync(kSyncedHeader, "int x;\n", kSyncedDoc);
+  ASSERT_FALSE(findings.empty());
+  EXPECT_NE(findings[0].message.find("UncertaintyBackend"),
+            std::string::npos);
+  EXPECT_EQ(findings[0].file, "src/uncertainty/estimator.h");
+}
+
+TEST(ProtocolDocSyncTest, ReadsHexWireValues) {
+  std::string header(kSyncedHeader);
+  header.replace(header.find("kPing = 10,"), sizeof("kPing = 10,") - 1,
+                 "kPing = 0x10,");
+  std::string doc(kSyncedDoc);
+  doc.replace(doc.find("| `kPing` | 10 |"), sizeof("| `kPing` | 10 |") - 1,
+              "| `kPing` | 16 |");
+  EXPECT_TRUE(CheckProtocolDocSync(header, kSyncedEstimatorHeader, doc)
+                  .empty());
+  doc.replace(doc.find("| `kPing` | 16 |"), sizeof("| `kPing` | 16 |") - 1,
+              "| `kPing` | 0 |");
+  const auto findings =
+      CheckProtocolDocSync(header, kSyncedEstimatorHeader, doc);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].message,
+            "MessageType::kPing is 16 in the header but 0 in the doc");
+}
+
+TEST(ProtocolDocSyncTest, IgnoresEnumeratorsInBlockComments) {
+  std::string header(kSyncedHeader);
+  header.insert(header.find("  kPing = 10,"), "  /* kGhost = 9 */\n");
+  EXPECT_TRUE(CheckProtocolDocSync(header, kSyncedEstimatorHeader, kSyncedDoc)
+                  .empty());
+}
+
+TEST(ProtocolDocSyncTest, RealRepoFilesAreInSync) {
+  // Guard against the checked-in header and doc drifting apart.
+  const std::string root = RepoRoot();
+  if (root.empty()) GTEST_SKIP() << "repo root not found from test cwd";
+  EXPECT_TRUE(CheckProtocolDocSyncFiles(root).empty());
+}
+
+// --- simd-discipline --------------------------------------------------------
+
+TEST(SimdDisciplineTest, FlagsIntrinsicHeaderOutsideSimdDir) {
+  const auto findings =
+      FileFindings("src/nn/dense.cc", "#include <immintrin.h>\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "simd-discipline");
+  EXPECT_EQ(findings[0].line, 1);
+  EXPECT_NE(findings[0].message.find("immintrin"), std::string::npos);
+}
+
+TEST(SimdDisciplineTest, FlagsNeonHeaderOutsideSimdDir) {
+  const auto findings =
+      FileFindings("tests/tensor/foo_test.cc", "#include <arm_neon.h>\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "simd-discipline");
+}
+
+TEST(SimdDisciplineTest, FlagsX86IntrinsicIdentifiers) {
+  const auto findings = FileFindings(
+      "src/nn/dense.cc",
+      "__m256 v = _mm256_loadu_ps(p);\n_mm256_storeu_ps(q, v);\n");
+  ASSERT_EQ(findings.size(), 3u);  // __m256 + two _mm256_* calls.
+  for (const auto& f : findings) EXPECT_EQ(f.rule, "simd-discipline");
+}
+
+TEST(SimdDisciplineTest, FlagsNeonIntrinsicIdentifiers) {
+  const auto findings = FileFindings(
+      "src/uncertainty/mc_dropout.cc",
+      "float32x4_t v = vld1q_f32(p);\nvst1q_f32(q, vfmaq_f32(v, v, v));\n");
+  ASSERT_EQ(findings.size(), 4u);
+  for (const auto& f : findings) EXPECT_EQ(f.rule, "simd-discipline");
+}
+
+TEST(SimdDisciplineTest, AllowsIntrinsicsInsideSimdDir) {
+  const auto findings = FileFindings(
+      "src/tensor/simd/kernels_avx2.cc",
+      "#include <immintrin.h>\n__m256 v = _mm256_setzero_ps();\n");
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(SimdDisciplineTest, AllowsF32SuffixedVariablesAndMentionsInComments) {
+  // weight_f32_ / a_f32 do not match the NEON v*q_f32 pattern, and banned
+  // names inside comments or strings are never findings.
+  const auto findings = FileFindings(
+      "src/nn/dense.cc",
+      "int weight_f32_ = 0;  // _mm256_loadu_ps in a comment is fine\n"
+      "const char* s = \"float32x4_t\";\nint a_f32 = weight_f32_;\n");
+  EXPECT_TRUE(findings.empty());
+}
+
+namespace {
+
+// Minimal kernels.h/backend pair that is in sync; tests perturb one side.
+const char kSyncedKernelsHeader[] =
+    "struct F32Kernels {\n"
+    "  const char* name;\n"
+    "  void (*matmul)(const float* a, const float* b, float* c, size_t m,\n"
+    "                 size_t k, size_t n);\n"
+    "  void (*relu)(const float* in, float* out, size_t n);\n"
+    "};\n";
+
+const char kSyncedBackend[] =
+    "const F32Kernels& ScalarKernels() {\n"
+    "  static const F32Kernels kTable = {\n"
+    "      .name = \"scalar\",\n"
+    "      .matmul = ScalarMatMul,\n"
+    "      .relu = ScalarRelu,\n"
+    "  };\n"
+    "  return kTable;\n"
+    "}\n";
+
+}  // namespace
+
+TEST(SimdKernelTableSyncTest, CleanWhenInSync) {
+  EXPECT_TRUE(CheckSimdKernelTableSync(
+                  kSyncedKernelsHeader,
+                  {{"src/tensor/simd/kernels_scalar.cc", kSyncedBackend}})
+                  .empty());
+}
+
+TEST(SimdKernelTableSyncTest, FlagsFieldMissingFromBackendTable) {
+  std::string backend(kSyncedBackend);
+  backend.erase(backend.find("      .relu = ScalarRelu,\n"),
+                sizeof("      .relu = ScalarRelu,\n") - 1);
+  const auto findings = CheckSimdKernelTableSync(
+      kSyncedKernelsHeader, {{"src/tensor/simd/kernels_scalar.cc", backend}});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "simd-discipline");
+  EXPECT_NE(findings[0].message.find("relu"), std::string::npos);
+}
+
+TEST(SimdKernelTableSyncTest, FlagsInitializerWithNoDeclaredField) {
+  std::string backend(kSyncedBackend);
+  backend.replace(backend.find(".relu = ScalarRelu"),
+                  sizeof(".relu = ScalarRelu") - 1, ".gelu = ScalarGelu");
+  const auto findings = CheckSimdKernelTableSync(
+      kSyncedKernelsHeader, {{"src/tensor/simd/kernels_scalar.cc", backend}});
+  ASSERT_EQ(findings.size(), 2u);  // relu never set + gelu undeclared.
+  EXPECT_NE(findings[0].message.find("relu"), std::string::npos);
+  EXPECT_NE(findings[1].message.find("gelu"), std::string::npos);
+}
+
+TEST(SimdKernelTableSyncTest, FlagsBackendWithNoTable) {
+  const auto findings = CheckSimdKernelTableSync(
+      kSyncedKernelsHeader,
+      {{"src/tensor/simd/kernels_neon.cc", "void NeonMatMul();\n"}});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("no F32Kernels table"),
+            std::string::npos);
+}
+
+TEST(SimdKernelTableSyncTest, FlagsMissingStruct) {
+  const auto findings = CheckSimdKernelTableSync(
+      "int x;\n", {{"src/tensor/simd/kernels_scalar.cc", kSyncedBackend}});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].message.find("F32Kernels"), std::string::npos);
+}
+
+TEST(SimdKernelTableSyncTest, RealRepoTablesAreInSync) {
+  const std::string root = RepoRoot();
+  if (root.empty()) GTEST_SKIP() << "repo root not found from test cwd";
+  for (const auto& finding : CheckSimdKernelTableSyncFiles(root)) {
+    ADD_FAILURE() << finding.file << ": " << finding.message;
+  }
+}
+
 // --- registry-consistency ---------------------------------------------------
 
 std::vector<Finding> RegistryFindings(const std::string& src,
@@ -481,6 +1209,17 @@ TEST(FactsTest, SerializationRoundTrips) {
   EXPECT_EQ(parsed.failpoints[0].name, "x.poison");
 }
 
+TEST(FactsTest, CacheSchemaFileMatchesTheConstant) {
+  // CI keys its facts cache on tools/analyze/CACHE_SCHEMA, so the file and
+  // kFactsSchemaVersion must move together.
+  const std::string root = RepoRoot();
+  if (root.empty()) GTEST_SKIP() << "repo root not found from test cwd";
+  std::ifstream in(fs::path(root) / "tools/analyze/CACHE_SCHEMA");
+  int version = 0;
+  in >> version;
+  EXPECT_EQ(version, kFactsSchemaVersion);
+}
+
 TEST(FactsTest, ParseRejectsWrongSchemaVersion) {
   const FileFacts facts = AnalyzeSource("src/a.cc", "void F() {}\n");
   std::string text = SerializeFacts(facts);
@@ -503,14 +1242,26 @@ class EngineTest : public ::testing::Test {
                        ->current_test_info()
                        ->name());
     fs::remove_all(root_);
-    fs::create_directories(root_ / "src" / "core");
-    fs::create_directories(root_ / "docs");
+    for (const char* dir :
+         {"src/core", "src/serve", "src/uncertainty", "src/tensor/simd",
+          "tests", "bench", "examples", "tools", "docs"}) {
+      fs::create_directories(root_ / dir);
+    }
     WriteFile("docs/MEMORY.md", "# Memory\n");
     WriteFile("docs/OBSERVABILITY.md",
               "# Observability\n`tasfar.sample.count`\n");
     WriteFile("docs/TESTING.md", "# Testing\n### Injection sites\n");
     WriteFile("src/core/sample.cc", Sample());
+    // What the cross-file syncs read, in sync.
+    WriteHeader("src/serve/protocol.h", kSyncedHeader);
+    WriteHeader("src/uncertainty/estimator.h", kSyncedEstimatorHeader);
+    WriteFile("docs/PROTOCOL.md", kSyncedDoc);
+    WriteHeader("src/tensor/simd/kernels.h", kSyncedKernelsHeader);
+    WriteFile("src/tensor/simd/kernels_scalar.cc", kSyncedBackend);
   }
+
+  /// Source files SetUp writes: the sample plus the four sync inputs.
+  static constexpr int kFixtureSources = 5;
   void TearDown() override { fs::remove_all(root_); }
 
   static std::string Sample() {
@@ -526,6 +1277,12 @@ class EngineTest : public ::testing::Test {
     out << content;
   }
 
+  void WriteHeader(const std::string& rel, const std::string& body) {
+    const std::string guard = ExpectedHeaderGuard(rel);
+    WriteFile(rel, "#ifndef " + guard + "\n#define " + guard + "\n" + body +
+                       "#endif\n");
+  }
+
   AnalyzeResult Run() {
     AnalyzeOptions options;
     options.repo_root = root_.string();
@@ -539,13 +1296,13 @@ class EngineTest : public ::testing::Test {
 TEST_F(EngineTest, SecondRunHitsTheCacheWithIdenticalResults) {
   const AnalyzeResult cold = Run();
   ASSERT_FALSE(cold.io_error) << cold.error;
-  EXPECT_EQ(cold.files_scanned, 1);
+  EXPECT_EQ(cold.files_scanned, kFixtureSources);
   EXPECT_EQ(cold.cache_hits, 0);
-  EXPECT_EQ(cold.cache_misses, 1);
+  EXPECT_EQ(cold.cache_misses, kFixtureSources);
 
   const AnalyzeResult warm = Run();
   ASSERT_FALSE(warm.io_error) << warm.error;
-  EXPECT_EQ(warm.cache_hits, 1);
+  EXPECT_EQ(warm.cache_hits, kFixtureSources);
   EXPECT_EQ(warm.cache_misses, 0);
   EXPECT_EQ(warm.findings, cold.findings);
 }
@@ -554,7 +1311,7 @@ TEST_F(EngineTest, EditedFileMissesTheCache) {
   Run();
   WriteFile("src/core/sample.cc", Sample() + "\n// touched\n");
   const AnalyzeResult after = Run();
-  EXPECT_EQ(after.cache_hits, 0);
+  EXPECT_EQ(after.cache_hits, kFixtureSources - 1);
   EXPECT_EQ(after.cache_misses, 1);
 }
 
@@ -578,6 +1335,94 @@ TEST_F(EngineTest, UnsuppressedFindingIsCounted) {
   const AnalyzeResult result = Run();
   EXPECT_EQ(result.unsuppressed, 1);
   EXPECT_EQ(result.suppressed, 0);
+}
+
+TEST_F(EngineTest, ReportsPerFileRulesUnderEveryRoot) {
+  fs::create_directories(root_ / "tools" / "gen");
+  WriteFile("bench/gen.cc", "int Draw() { return std::rand(); }\n");
+  WriteFile("tools/gen/gen.h", "#ifndef GEN_H\n#define GEN_H\n#endif\n");
+  const AnalyzeResult result = Run();
+  ASSERT_FALSE(result.io_error) << result.error;
+  EXPECT_EQ(result.files_scanned, kFixtureSources + 2);
+  ASSERT_EQ(result.unsuppressed, 2);
+  std::vector<std::string> got;
+  for (const Finding& f : result.findings) {
+    if (!f.suppressed) got.push_back(f.file + ":" + f.rule);
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"bench/gen.cc:rng-discipline",
+                                           "tools/gen/gen.h:header-guard"}));
+}
+
+TEST_F(EngineTest, RegistryIgnoresNamesRegisteredOutsideSrc) {
+  WriteFile("tests/only_test.cc",
+            "void F() {\n"
+            "  obs::Registry::Get().GetCounter(\"tasfar.test.only\");\n"
+            "}\n");
+  const AnalyzeResult result = Run();
+  ASSERT_FALSE(result.io_error) << result.error;
+  EXPECT_EQ(result.unsuppressed, 0);
+}
+
+TEST_F(EngineTest, MissingScanRootIsAnIoError) {
+  fs::remove_all(root_ / "examples");
+  const AnalyzeResult result = Run();
+  EXPECT_TRUE(result.io_error);
+  EXPECT_NE(result.error.find("examples"), std::string::npos);
+}
+
+TEST_F(EngineTest, FormerLintFindingSurvivesTheCache) {
+  WriteFile("src/core/draw.cc", "int Draw() { return std::rand(); }\n");
+  const AnalyzeResult cold = Run();
+  ASSERT_FALSE(cold.io_error) << cold.error;
+  const AnalyzeResult warm = Run();
+  EXPECT_EQ(warm.cache_misses, 0);
+  EXPECT_EQ(warm.findings, cold.findings);
+  EXPECT_EQ(warm.unsuppressed, 1);
+  int rng = 0;
+  for (const Finding& f : warm.findings) {
+    if (f.rule == "rng-discipline" && f.file == "src/core/draw.cc") ++rng;
+  }
+  EXPECT_EQ(rng, 1);
+}
+
+TEST_F(EngineTest, AllowDoesNotSuppressFormerLintRules) {
+  WriteFile("src/core/draw.cc",
+            "// TASFAR_ANALYZE_ALLOW(rng-discipline): not accepted\n"
+            "int Draw() { return std::rand(); }\n");
+  const AnalyzeResult result = Run();
+  ASSERT_FALSE(result.io_error) << result.error;
+  EXPECT_EQ(result.unsuppressed, 1);
+  EXPECT_EQ(result.suppressed, 1);  // The sample's into-aliasing ALLOW.
+  for (const Finding& f : result.findings) {
+    EXPECT_FALSE(f.rule == "rng-discipline" && f.suppressed);
+  }
+}
+
+// --- rule scope -------------------------------------------------------------
+
+TEST(RuleScopeTest, ParallelCaptureAppliesOnlyUnderSrc) {
+  const std::string source =
+      "void F() {\n"
+      "  ParallelFor(0, n, 1, [&](size_t i) { total += x[i]; });\n"
+      "}\n";
+  EXPECT_EQ(Rules(FileFindings("src/core/fixture.cc", source)),
+            std::vector<std::string>{"parallel-capture"});
+  EXPECT_TRUE(FileFindings("tests/core/fixture_test.cc", source).empty());
+}
+
+TEST(RuleScopeTest, RuleIdsCoverEveryRule) {
+  const std::vector<std::string> expected = {
+      "check-not-assert",     "estimator-discipline", "header-guard",
+      "into-aliasing",        "memory-discipline",    "no-iostream",
+      "parallel-capture",     "protocol-doc-sync",    "registry-consistency",
+      "rng-discipline",       "seed-discipline",      "simd-discipline",
+      "thread-discipline",    "timing-discipline",    "workspace-escape"};
+  EXPECT_EQ(AnalyzerRuleIds(), expected);
+  const std::string sarif = ToSarif({});
+  for (const std::string& id : expected) {
+    EXPECT_NE(sarif.find("{\"id\": \"" + id + "\"}"), std::string::npos)
+        << id;
+  }
 }
 
 // --- SARIF ------------------------------------------------------------------

@@ -35,33 +35,57 @@ fs::path CacheEntry(const std::string& cache_dir,
   return fs::path(cache_dir) / (name + ".facts");
 }
 
-/// Sorted repo-relative paths of every src/**/*.{h,cc} file.
+/// Sorted repo-relative paths of every .h/.cc/.cpp file under the scan
+/// roots, skipping `build*` and `.*` directories.
 std::vector<std::string> DiscoverSources(const fs::path& root,
                                          std::string* error) {
   std::vector<std::string> rel;
-  std::error_code ec;
-  fs::recursive_directory_iterator it(root / "src", ec);
-  if (ec) {
-    *error = "cannot walk " + (root / "src").string() + ": " + ec.message();
-    return rel;
-  }
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file()) continue;
-    const std::string ext = entry.path().extension().string();
-    if (ext != ".h" && ext != ".cc") continue;
-    rel.push_back(
-        fs::relative(entry.path(), root).generic_string());
+  for (const std::string& scan_root : ScanRoots()) {
+    const fs::path dir = root / scan_root;
+    if (!fs::is_directory(dir)) {
+      *error = "analyze root is not a directory: " + dir.string();
+      return rel;
+    }
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+      const std::string name = it->path().filename().string();
+      if (it->is_directory()) {
+        if (name.rfind("build", 0) == 0 || name.rfind('.', 0) == 0) {
+          it.disable_recursion_pending();
+        }
+        continue;
+      }
+      const std::string ext = it->path().extension().string();
+      if (ext != ".h" && ext != ".cc" && ext != ".cpp") continue;
+      rel.push_back(fs::relative(it->path(), root).generic_string());
+    }
+    if (ec) {
+      *error = "cannot walk " + dir.string() + ": " + ec.message();
+      return rel;
+    }
   }
   std::sort(rel.begin(), rel.end());
   return rel;
 }
 
+/// A finding about a whole file (line 0).
+Finding FileScoped(const std::string& file, const char* rule,
+                   const std::string& message) {
+  Finding f;
+  f.file = file;
+  f.rule = rule;
+  f.message = message;
+  return f;
+}
+
 /// Marks findings covered by a TASFAR_ANALYZE_ALLOW on the same line or
-/// the line above. Registry findings anchored in docs cannot be
-/// suppressed — the docs are the fix.
+/// the line above, for the rules that accept one. Registry findings
+/// anchored in docs cannot be suppressed — the docs are the fix.
 void ApplySuppressions(const std::vector<Suppression>& sups,
                        std::vector<Finding>* findings) {
   for (Finding& f : *findings) {
+    if (!IsSuppressible(f.rule)) continue;
     for (const Suppression& s : sups) {
       if (s.rule != f.rule) continue;
       if (s.line == f.line || s.line == f.line - 1) {
@@ -74,6 +98,63 @@ void ApplySuppressions(const std::vector<Suppression>& sups,
 }
 
 }  // namespace
+
+std::vector<Finding> CheckProtocolDocSyncFiles(const std::string& repo_root) {
+  const fs::path root(repo_root);
+  std::string header, estimator, doc;
+  std::vector<Finding> findings;
+  auto read = [&](const char* rel, std::string* out, const char* what) {
+    if (!ReadFile(root / rel, out)) {
+      findings.push_back(FileScoped(rel, "protocol-doc-sync",
+                                    std::string("cannot read ") + what));
+    }
+  };
+  read("src/serve/protocol.h", &header, "the protocol header");
+  read("src/uncertainty/estimator.h", &estimator,
+       "the estimator seam header");
+  read("docs/PROTOCOL.md", &doc, "the protocol spec");
+  if (!findings.empty()) return findings;
+  return CheckProtocolDocSync(header, estimator, doc);
+}
+
+std::vector<Finding> CheckSimdKernelTableSyncFiles(
+    const std::string& repo_root) {
+  const fs::path simd_dir = fs::path(repo_root) / "src/tensor/simd";
+  std::string header;
+  if (!ReadFile(simd_dir / "kernels.h", &header)) {
+    return {FileScoped("src/tensor/simd/kernels.h", "simd-discipline",
+                       "cannot read the kernel registry header")};
+  }
+  std::vector<fs::path> paths;
+  std::error_code ec;
+  for (fs::directory_iterator it(simd_dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.rfind("kernels_", 0) == 0 && it->path().extension() == ".cc") {
+      paths.push_back(it->path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<Finding> findings;
+  std::vector<std::pair<std::string, std::string>> backends;
+  for (const fs::path& p : paths) {
+    const std::string rel = fs::relative(p, repo_root).generic_string();
+    std::string source;
+    if (!ReadFile(p, &source)) {
+      findings.push_back(
+          FileScoped(rel, "simd-discipline", "cannot read backend source"));
+      continue;
+    }
+    backends.emplace_back(rel, source);
+  }
+  if (backends.empty()) {
+    return {FileScoped("src/tensor/simd", "simd-discipline",
+                       "no kernels_*.cc backend translation units found")};
+  }
+  const std::vector<Finding> sync = CheckSimdKernelTableSync(header, backends);
+  findings.insert(findings.end(), sync.begin(), sync.end());
+  return findings;
+}
 
 const std::vector<std::string>& RegistryDocs() {
   static const std::vector<std::string> kDocs = {
@@ -178,6 +259,13 @@ AnalyzeResult AnalyzeRepo(const AnalyzeOptions& options) {
     }
   }
   all.insert(all.end(), registry.begin(), registry.end());
+  // The cross-file syncs read their files fresh, like the registry docs;
+  // their findings accept no ALLOW.
+  for (const std::vector<Finding>& sync :
+       {CheckProtocolDocSyncFiles(options.repo_root),
+        CheckSimdKernelTableSyncFiles(options.repo_root)}) {
+    all.insert(all.end(), sync.begin(), sync.end());
+  }
 
   std::sort(all.begin(), all.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;

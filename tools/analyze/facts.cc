@@ -212,13 +212,9 @@ FileFacts AnalyzeSource(const std::string& repo_rel_path,
   }
 
   const std::vector<Token> code = CodeTokens(tokens);
-  ExtractSymbols(code, &facts);
-
-  CheckParallelCapture(repo_rel_path, code, &facts.findings);
-  CheckIntoAliasing(repo_rel_path, code, facts.aliased_ack_lines,
-                    &facts.findings);
-  CheckWorkspaceEscape(repo_rel_path, code, &facts.findings);
-  CheckSeedDiscipline(repo_rel_path, code, &facts.findings);
+  if (ExtractsSymbols(repo_rel_path)) ExtractSymbols(code, &facts);
+  CheckFile({repo_rel_path, source, code, facts.aliased_ack_lines},
+            &facts.findings);
   return facts;
 }
 

@@ -11,7 +11,7 @@ namespace tasfar::analyze {
 /// engine when a `// TASFAR_ANALYZE_ALLOW(rule): reason` comment covers
 /// the finding's line (same line or the line above).
 struct Finding {
-  std::string file;  ///< Repo-relative path ("src/..." or "docs/...").
+  std::string file;  ///< Repo-relative path.
   int line = 0;      ///< 1-based; 0 for file-scoped findings.
   std::string rule;  ///< Stable rule id, e.g. "into-aliasing".
   std::string message;
@@ -59,10 +59,10 @@ struct FileFacts {
   std::vector<Finding> findings;       ///< Per-file rule findings.
 };
 
-/// Lexes `source` and extracts symbols, suppressions, and per-file rule
-/// findings (parallel-capture, into-aliasing, workspace-escape,
-/// seed-discipline). The whole-program registry-consistency pass runs
-/// later over the merged facts (see rules.h).
+/// Lexes `source` and extracts symbols (src/ only), suppressions, and the
+/// findings of every per-file rule that applies to `repo_rel_path`. The
+/// whole-program registry-consistency pass runs later over the merged
+/// facts (see rules.h).
 FileFacts AnalyzeSource(const std::string& repo_rel_path,
                         const std::string& source);
 
@@ -77,7 +77,7 @@ bool ParseFacts(const std::string& text, FileFacts* out);
 /// Bumped whenever FileFacts, the serialization, or any rule's semantics
 /// change, so stale caches self-invalidate. Mirrored in the checked-in
 /// tools/analyze/CACHE_SCHEMA file that CI uses as its cache key.
-constexpr int kFactsSchemaVersion = 2;
+constexpr int kFactsSchemaVersion = 3;
 
 }  // namespace tasfar::analyze
 

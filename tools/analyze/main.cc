@@ -1,19 +1,30 @@
-// tasfar_analyze — whole-program invariant analyzer.
+// tasfar_analyze — the repo's invariant checker.
 //
-// Lexes every src/**/*.{h,cc} file (in parallel, through a content-hash
-// incremental cache), extracts symbols, and enforces the five
-// whole-program rules from docs/STATIC_ANALYSIS.md:
+// Lexes every .h/.cc/.cpp file under src/ tests/ bench/ examples/ tools/
+// (in parallel, through a content-hash incremental cache) and enforces the
+// fifteen rules catalogued in docs/STATIC_ANALYSIS.md:
+//   rng-discipline        randomness draws from an explicit tasfar::Rng&
+//   thread-discipline     parallelism goes through util/thread_pool.h
+//   simd-discipline       intrinsics only in src/tensor/simd/; every
+//                         backend's F32Kernels table matches kernels.h
+//   header-guard          headers guard with TASFAR_<PATH>_H_
+//   no-iostream           src/ logs through util/logging.h
+//   check-not-assert      src/ uses TASFAR_CHECK, never assert()
+//   timing-discipline     src/ reads clocks only through src/obs/
+//   memory-discipline     src/ takes no by-value Tensor, copies no storage
+//   estimator-discipline  src/ builds estimators through MakeEstimator
 //   parallel-capture      no shared writes from ParallelFor lambdas
 //   into-aliasing         *Into destinations never silently alias inputs
 //   workspace-escape      workspace tensors stay out of members/statics
 //   seed-discipline       child seeds derive via MixSeed, not arithmetic
 //   registry-consistency  metric/span/failpoint names match the docs
+//   protocol-doc-sync     wire enums match docs/PROTOCOL.md
 //
 // Usage: tasfar_analyze [repo_root]
 //          [--cache-dir=DIR | --no-cache] [--sarif=PATH | --no-sarif]
 // Defaults: cache under <root>/bench_out/analyze_cache/v<schema>/, SARIF
 // to <root>/bench_out/analyze.sarif. Exits 0 when clean, 1 on any
-// unsuppressed finding, 2 on I/O errors.
+// unsuppressed finding, 2 on I/O errors (a missing scan root included).
 
 #include <cstdio>
 #include <filesystem>

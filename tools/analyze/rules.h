@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "facts.h"
@@ -11,53 +12,43 @@
 
 namespace tasfar::analyze {
 
-/// The five whole-program rules (docs/STATIC_ANALYSIS.md has the catalog
-/// with rationale and examples; each check's header comment here is the
-/// normative statement).
-///
-/// Per-file checks take the file's *code* tokens (comments removed) and
-/// append findings. They all apply to files under src/ only — the engine
-/// is responsible for scoping.
+/// The fifteen invariant rules (docs/STATIC_ANALYSIS.md has the catalog
+/// with rationale; each check's comment in rules.cc is the normative
+/// statement). One table in rules.cc decides which rule applies under
+/// which path and which findings a TASFAR_ANALYZE_ALLOW can suppress.
 
-/// parallel-capture: a lambda passed to ParallelFor may not write a
-/// by-reference captured variable through a plain assignment, increment,
-/// or a subscript that does not involve the loop index. Writes through
-/// members/methods (e.g. atomic .fetch_add, counter->Increment) and to
-/// body-local variables are out of scope. The static face of the
-/// disjoint-write rule in docs/THREADING.md.
-void CheckParallelCapture(const std::string& path,
-                          const std::vector<Token>& code,
-                          std::vector<Finding>* findings);
+/// What a per-file check sees of one file.
+struct SourceFile {
+  const std::string& path;           ///< Repo-relative.
+  const std::string& source;         ///< Raw bytes.
+  const std::vector<Token>& code;    ///< Tokens with comments removed.
+  const std::vector<int>& aliased_ack_lines;  ///< `// aliased:` lines.
+};
 
-/// into-aliasing: at a `*Into(...)` out-parameter kernel call site, the
-/// destination (last argument, '&'/'*' stripped) may not textually equal
-/// any input argument unless the line (or the line above) carries an
-/// `// aliased:` acknowledgment. In-place use is legal for elementwise
-/// kernels (docs/MEMORY.md §Kernels) but must be visibly acknowledged,
-/// because for MatMulInto/TransposedInto/GatherRowsInto it is UB.
-void CheckIntoAliasing(const std::string& path,
-                       const std::vector<Token>& code,
-                       const std::vector<int>& aliased_ack_lines,
-                       std::vector<Finding>* findings);
+/// Repo-relative directories the engine walks for .h/.cc/.cpp files
+/// (skipping `build*` and `.*` directories); each must exist.
+const std::vector<std::string>& ScanRoots();
 
-/// workspace-escape: a tensor acquired from Workspace NewTensor/ZeroTensor
-/// may not be stored into a member (trailing-underscore identifier) or a
-/// static, and may not be returned directly as the unassigned call result
-/// (NewTensor contents are uninitialized). Returning a *named* workspace
-/// tensor after filling it is the documented ownership handoff
-/// (docs/MEMORY.md §Workspaces) and is allowed.
-void CheckWorkspaceEscape(const std::string& path,
-                          const std::vector<Token>& code,
-                          std::vector<Finding>* findings);
+/// Whether the file's metric/span/failpoint registrations feed
+/// registry-consistency (only library code under src/ registers names).
+bool ExtractsSymbols(const std::string& path);
 
-/// seed-discipline: a seed expression handed to Rng construction, Fork,
-/// MixSeed, or ReseedStochastic may not combine a seed-named value with
-/// ad-hoc arithmetic (+ - * ^ << >> |) at the argument's top level —
-/// derive child seeds through MixSeed streams instead. src/util/rng.* is
-/// exempt (it *is* the derivation).
-void CheckSeedDiscipline(const std::string& path,
-                         const std::vector<Token>& code,
-                         std::vector<Finding>* findings);
+/// Runs every per-file rule that applies to `file.path` and appends its
+/// findings, ordered by line.
+void CheckFile(const SourceFile& file, std::vector<Finding>* findings);
+
+/// Whether a TASFAR_ANALYZE_ALLOW naming `rule` may suppress its findings.
+bool IsSuppressible(const std::string& rule);
+
+/// All rule ids, sorted, for SARIF metadata.
+const std::vector<std::string>& AnalyzerRuleIds();
+
+/// The include-guard macro required for a header at `repo_rel_path`:
+/// TASFAR_<PATH>_H_ with the path uppercased and separators mapped to '_'.
+/// Paths under src/ drop the src/ prefix (src/util/rng.h ->
+/// TASFAR_UTIL_RNG_H_); all other roots keep it (bench/bench_common.h ->
+/// TASFAR_BENCH_BENCH_COMMON_H_).
+std::string ExpectedHeaderGuard(const std::string& repo_rel_path);
 
 /// Inline-backtick tokens harvested from one documentation file, plus the
 /// failpoint site names declared in docs/TESTING.md's "Injection sites"
@@ -87,8 +78,30 @@ void ScanDocNames(const std::string& doc_path, const std::string& content,
 std::vector<Finding> CheckRegistryConsistency(
     const std::vector<FileFacts>& facts, const DocNames& docs);
 
-/// All analyzer rule ids, for SARIF metadata and ALLOW validation.
-const std::vector<std::string>& AnalyzerRuleIds();
+/// protocol-doc-sync: cross-checks the `MessageType` and `WireError`
+/// enumerators in src/serve/protocol.h, plus the `UncertaintyBackend`
+/// enumerators in src/uncertainty/estimator.h (kCreateSession's backend
+/// byte), against the tables in docs/PROTOCOL.md, both ways — an
+/// enumerator missing from the doc, a doc row naming no enumerator, or a
+/// numeric value disagreement each yield a finding. Header enumerators are
+/// read through the lexer (`kName = N` with N a decimal, hex or octal
+/// literal; comments never count); doc entries are table rows whose first
+/// cell is the backticked enumerator and whose second cell is its value.
+std::vector<Finding> CheckProtocolDocSync(const std::string& header_source,
+                                          const std::string& estimator_source,
+                                          const std::string& doc_source);
+
+/// simd-discipline, cross-file half: cross-checks the `F32Kernels`
+/// dispatch-table fields declared in src/tensor/simd/kernels.h against the
+/// designated initializers in every backend translation unit
+/// (`kernels_<backend>.cc`), both ways — a struct field a backend never
+/// sets, a backend setting a field the struct does not declare, or a
+/// backend file containing no F32Kernels table at all each yield a
+/// finding. `backend_sources` pairs each backend's repo-relative path with
+/// its contents.
+std::vector<Finding> CheckSimdKernelTableSync(
+    const std::string& header_source,
+    const std::vector<std::pair<std::string, std::string>>& backend_sources);
 
 }  // namespace tasfar::analyze
 
