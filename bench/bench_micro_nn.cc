@@ -1,11 +1,15 @@
 // Micro-benchmarks of the neural substrate: matrix product, Conv1d/Conv2d
-// forward+backward, and a full Dense training step — the costs that
-// dominate every adaptation experiment.
+// forward+backward, ReLU, and full Dense and PDR training steps — the costs
+// that dominate every adaptation experiment.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "data/crowd_sim.h"
 #include "data/pdr_sim.h"
+#include "nn/activations.h"
 #include "nn/conv1d.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -163,6 +167,58 @@ void BM_DenseTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_DenseTrainStep);
+
+// One fine-tuning step of the PDR model as AdaptationTrainer configures it
+// (src/core/adaptation_trainer.h): dropout off, per-sample weighted MSE,
+// gradient-norm clip 5.0, SGD with momentum 0.9, batch 32 — the body of
+// Trainer::Fit's batch loop.
+void BM_PdrTrainStep(benchmark::State& state) {
+  Rng rng(7);
+  auto model = BuildPdrModel(20, &rng);
+  Tensor x = Tensor::RandomNormal({32, 6, 20}, &rng);
+  Tensor y = Tensor::RandomNormal({32, 2}, &rng);
+  std::vector<double> w(32);
+  for (double& wi : w) wi = rng.Uniform(0.5, 1.5);
+  Sgd opt(5e-3, 0.9);
+  constexpr double kClip = 5.0;
+  for (auto _ : state) {
+    Tensor pred = model->Forward(x, /*training=*/false);
+    Tensor grad;
+    benchmark::DoNotOptimize(loss::Mse(pred, y, &grad, &w));
+    model->ZeroGrads();
+    model->Backward(grad);
+    double norm_sq = 0.0;
+    for (Tensor* g : model->Grads()) norm_sq += g->SquaredNorm();
+    const double norm = std::sqrt(norm_sq);
+    if (norm > kClip) {
+      for (Tensor* g : model->Grads()) *g *= kClip / norm;
+    }
+    opt.Step(model->Params(), model->Grads());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_PdrTrainStep);
+
+// ReLU forward+backward on the PDR model's first activation shape
+// ({32, 16, 20}); half the inputs are negative, so a branchy loop would
+// mispredict on every other element.
+void BM_ReluForwardBackward(benchmark::State& state) {
+  Rng rng(8);
+  Relu relu;
+  Tensor x = Tensor::RandomNormal({32, 16, 20}, &rng);
+  Tensor g = Tensor::RandomNormal(x.shape(), &rng);
+  for (auto _ : state) {
+    Tensor y = relu.Forward(x, true);
+    Tensor gi = relu.Backward(g);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(gi.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(x.size()));
+}
+BENCHMARK(BM_ReluForwardBackward);
 
 }  // namespace
 }  // namespace tasfar

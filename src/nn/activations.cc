@@ -2,28 +2,81 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "tensor/simd/dispatch.h"
 #include "tensor/workspace.h"
 
 namespace tasfar {
 
+namespace {
+
+// The (Leaky)ReLU loops write a fresh workspace output, which aliases
+// neither input; the restrict-qualified parameters say so and spare the
+// vectorized loops their run-time overlap checks. Each loop loads both
+// arms of its select before choosing, so GCC if-converts it into
+// compare-and-blend vector code instead of a data-dependent branch per
+// element. Each select tests the same comparison as the plain ternary it
+// replaces, so NaN (every compare false), -0.0 (not > 0, but <= 0) and
+// ±inf give the same bytes.
+
+void ReluForwardLoop(const double* __restrict x, size_t n,
+                     double* __restrict y) {
+  for (size_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    y[i] = v > 0.0 ? v : 0.0;
+  }
+}
+
+void ReluBackwardLoop(const double* __restrict in,
+                      const double* __restrict go, size_t n,
+                      double* __restrict g) {
+  for (size_t i = 0; i < n; ++i) {
+    const double pass = go[i];
+    g[i] = in[i] <= 0.0 ? 0.0 : pass;
+  }
+}
+
+// The leaky arms hold a multiply, which GCC will not evaluate
+// speculatively inside one loop (under the default -ftrapping-math it may
+// trap), so it would keep the branch. A first pass therefore writes the
+// leaky arm for every element and a second pass selects; both vectorize.
+
+void LeakyReluForwardLoop(const double* __restrict x, size_t n, double s,
+                          double* __restrict y) {
+  for (size_t i = 0; i < n; ++i) y[i] = s * x[i];
+  for (size_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    const double leak = y[i];
+    y[i] = v > 0.0 ? v : leak;
+  }
+}
+
+void LeakyReluBackwardLoop(const double* __restrict in,
+                           const double* __restrict go, size_t n, double s,
+                           double* __restrict g) {
+  for (size_t i = 0; i < n; ++i) g[i] = go[i] * s;
+  for (size_t i = 0; i < n; ++i) {
+    const double pass = go[i];
+    const double leak = g[i];
+    g[i] = in[i] <= 0.0 ? leak : pass;
+  }
+}
+
+}  // namespace
+
 Tensor Relu::Forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
   Tensor out = Workspace::ThreadLocal().NewTensor(input.shape());
-  ApplyInto(input, [](double x) { return x > 0.0 ? x : 0.0; }, &out);
+  ReluForwardLoop(input.data(), out.size(), out.data());
   return out;
 }
 
 Tensor Relu::Backward(const Tensor& grad_output) {
   TASFAR_CHECK(grad_output.SameShape(cached_input_));
   Tensor grad = Workspace::ThreadLocal().NewTensor(grad_output.shape());
-  const double* in = cached_input_.data();
-  const double* go = grad_output.data();
-  double* g = grad.data();
-  for (size_t i = 0; i < grad.size(); ++i) {
-    g[i] = in[i] <= 0.0 ? 0.0 : go[i];
-  }
+  ReluBackwardLoop(std::as_const(cached_input_).data(), grad_output.data(),
+                   grad.size(), grad.data());
   return grad;
 }
 
@@ -41,21 +94,17 @@ LeakyRelu::LeakyRelu(double negative_slope)
 
 Tensor LeakyRelu::Forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
-  const double s = negative_slope_;
   Tensor out = Workspace::ThreadLocal().NewTensor(input.shape());
-  ApplyInto(input, [s](double x) { return x > 0.0 ? x : s * x; }, &out);
+  LeakyReluForwardLoop(input.data(), out.size(), negative_slope_, out.data());
   return out;
 }
 
 Tensor LeakyRelu::Backward(const Tensor& grad_output) {
   TASFAR_CHECK(grad_output.SameShape(cached_input_));
   Tensor grad = Workspace::ThreadLocal().NewTensor(grad_output.shape());
-  const double* in = cached_input_.data();
-  const double* go = grad_output.data();
-  double* g = grad.data();
-  for (size_t i = 0; i < grad.size(); ++i) {
-    g[i] = in[i] <= 0.0 ? go[i] * negative_slope_ : go[i];
-  }
+  LeakyReluBackwardLoop(std::as_const(cached_input_).data(),
+                        grad_output.data(), grad.size(), negative_slope_,
+                        grad.data());
   return grad;
 }
 

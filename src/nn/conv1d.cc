@@ -50,6 +50,15 @@ size_t Conv1d::OutputLength(size_t t) const {
 //     skipping zero upstream gradients;
 //   * grad_input[b, ic, ti] receives its contributions oc-major, then in
 //     ascending `to`.
+// Backward works channel-last so that its inner loop is contiguous: per
+// sample it transposes x[b] to {t_in, in_ch} and accumulates grad_input in
+// a {t_in, in_ch} scratch, and it keeps weight and grad_weight as
+// {out_ch, k, in_ch}. Only the memory layout changes. The loops still run
+// b -> oc -> to -> k -> ic, and every element lies on its own address, so
+// each one receives the same products in the same order as in the naive
+// nest. With dilation 1 the in-range taps of one output position are
+// adjacent rows of every scratch, so the k and ic loops fuse into one run
+// of (hi - lo) * in_ch elements.
 // Parameters and the cached input are read through const views, so
 // buffers shared with Clone()d replicas are never detached (docs/MEMORY.md).
 Tensor Conv1d::Forward(const Tensor& input, bool /*training*/) {
@@ -97,6 +106,41 @@ Tensor Conv1d::Forward(const Tensor& input, bool /*training*/) {
   return out;
 }
 
+namespace {
+
+/// dst[c * rows + r] = src[r * cols + c]: a {rows, cols} block to
+/// {cols, rows}.
+void Transpose(const double* __restrict src, size_t rows, size_t cols,
+               double* __restrict dst) {
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  }
+}
+
+/// gw[j] += go * x[j] and gx[j] += go * w[j] over one contiguous run. The
+/// four runs lie in four distinct scratch buffers; saying so through
+/// restrict-qualified parameters spares the vectorized loop its run-time
+/// overlap checks.
+inline void AccumulateTapRun(size_t n, double go, const double* __restrict x,
+                             const double* __restrict w,
+                             double* __restrict gw, double* __restrict gx) {
+  for (size_t j = 0; j < n; ++j) {
+    gw[j] += go * x[j];
+    gx[j] += go * w[j];
+  }
+}
+
+/// {out_ch, in_ch, k} <-> {out_ch, k, in_ch}: one Transpose per filter.
+void TransposeFilters(const double* src, size_t out_ch, size_t rows,
+                      size_t cols, double* dst) {
+  const size_t filter = rows * cols;
+  for (size_t oc = 0; oc < out_ch; ++oc) {
+    Transpose(src + oc * filter, rows, cols, dst + oc * filter);
+  }
+}
+
+}  // namespace
+
 Tensor Conv1d::Backward(const Tensor& grad_output) {
   TASFAR_CHECK_MSG(cached_input_.size() > 0, "Backward before Forward");
   const size_t batch = cached_input_.dim(0);
@@ -105,21 +149,46 @@ Tensor Conv1d::Backward(const Tensor& grad_output) {
   TASFAR_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch &&
                grad_output.dim(1) == out_channels_ &&
                grad_output.dim(2) == t_out);
-  // grad_input accumulates (+=), so it must start zeroed.
-  Tensor grad_input =
-      Workspace::ThreadLocal().ZeroTensor(cached_input_.shape());
+  const size_t in_ch = in_channels_;
+  const size_t kernel = kernel_size_;
+  const size_t dilation = dilation_;
+  const size_t filter = in_ch * kernel;
+  // The in-range taps of each output position, the same for every (b, oc).
+  taps_.resize(t_out);
+  for (size_t to = 0; to < t_out; ++to) {
+    const long start =
+        static_cast<long>(to * stride_) - static_cast<long>(padding_);
+    taps_[to] = detail::InBoundsRange(start, dilation, t_in, kernel);
+  }
+
+  Workspace& ws = Workspace::ThreadLocal();
+  // Every element is assigned by the per-sample transpose at the end of
+  // the b loop, so the uninitialized workspace tensor is safe.
+  Tensor grad_input = ws.NewTensor(cached_input_.shape());
+  Tensor x_tr = ws.NewTensor({t_in, in_ch});
+  Tensor gx_tr = ws.NewTensor({t_in, in_ch});
+  Tensor w_tr = ws.NewTensor({out_channels_, kernel, in_ch});
+  Tensor gw_tr = ws.NewTensor({out_channels_, kernel, in_ch});
   const double* x = std::as_const(cached_input_).data();
-  const double* w = std::as_const(weight_).data();
   const double* g = grad_output.data();
   double* gx = grad_input.data();
   double* gw = grad_weight_.data();
   double* gb = grad_bias_.data();
-  const size_t filter = in_channels_ * kernel_size_;
+  double* xt = x_tr.data();
+  double* gxt = gx_tr.data();
+  double* wt = w_tr.data();
+  double* gwt = gw_tr.data();
+  TransposeFilters(std::as_const(weight_).data(), out_channels_, in_ch,
+                   kernel, wt);
+  // Accumulation continues from grad_weight_'s prior values.
+  TransposeFilters(gw, out_channels_, in_ch, kernel, gwt);
   for (size_t b = 0; b < batch; ++b) {
+    Transpose(x + b * in_ch * t_in, in_ch, t_in, xt);
+    std::fill_n(gxt, t_in * in_ch, 0.0);
     for (size_t oc = 0; oc < out_channels_; ++oc) {
       const double* g_row = g + (b * out_channels_ + oc) * t_out;
-      const double* w_oc = w + oc * filter;
-      double* gw_oc = gw + oc * filter;
+      const double* w_oc = wt + oc * filter;
+      double* gw_oc = gwt + oc * filter;
       // `to` stays outside `k`: for a fixed input sample, contributions
       // must arrive in ascending `to`, and looping k outside would reverse
       // them.
@@ -127,24 +196,26 @@ Tensor Conv1d::Backward(const Tensor& grad_output) {
         const double go = g_row[to];
         if (go == 0.0) continue;
         gb[oc] += go;
-        const long start = static_cast<long>(to * stride_) -
-                           static_cast<long>(padding_);
-        const detail::IndexRange taps =
-            detail::InBoundsRange(start, dilation_, t_in, kernel_size_);
-        for (size_t ic = 0; ic < in_channels_; ++ic) {
-          const size_t row = (b * in_channels_ + ic) * t_in;
-          const double* w_k = w_oc + ic * kernel_size_;
-          double* gw_k = gw_oc + ic * kernel_size_;
-          for (size_t k = taps.lo; k < taps.hi; ++k) {
-            const size_t ti = row + static_cast<size_t>(
-                start + static_cast<long>(k * dilation_));
-            gw_k[k] += go * x[ti];
-            gx[ti] += go * w_k[k];
-          }
+        const detail::IndexRange taps = taps_[to];
+        if (taps.lo == taps.hi) continue;
+        // Input sample of the first in-range tap.
+        const size_t t0 = to * stride_ + taps.lo * dilation - padding_;
+        if (dilation == 1) {
+          AccumulateTapRun((taps.hi - taps.lo) * in_ch, go, xt + t0 * in_ch,
+                           w_oc + taps.lo * in_ch, gw_oc + taps.lo * in_ch,
+                           gxt + t0 * in_ch);
+          continue;
+        }
+        for (size_t k = taps.lo; k < taps.hi; ++k) {
+          const size_t ti = t0 + (k - taps.lo) * dilation;
+          AccumulateTapRun(in_ch, go, xt + ti * in_ch, w_oc + k * in_ch,
+                           gw_oc + k * in_ch, gxt + ti * in_ch);
         }
       }
     }
+    Transpose(gxt, t_in, in_ch, gx + b * in_ch * t_in);
   }
+  TransposeFilters(gwt, out_channels_, kernel, in_ch, gw);
   return grad_input;
 }
 

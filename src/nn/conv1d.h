@@ -3,7 +3,9 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "nn/conv_taps.h"
 #include "nn/layer.h"
 
 namespace tasfar {
@@ -38,6 +40,9 @@ class Conv1d : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
   Tensor cached_input_;
+  /// Backward's per-call table of each output position's in-range taps;
+  /// kept as a member so steady-state calls reuse its storage.
+  std::vector<detail::IndexRange> taps_;
 };
 
 }  // namespace tasfar

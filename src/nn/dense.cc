@@ -63,10 +63,13 @@ Tensor Dense::Backward(const Tensor& grad_output) {
   Tensor grad_w = ws.NewTensor({in_dim_, out_dim_});
   MatMulInto(input_t, grad_output, &grad_w);
   grad_weight_ += grad_w;
+  // Row by row, so each grad_bias_[j] still sums in ascending batch order.
+  const double* __restrict go = grad_output.data();
+  double* __restrict gb = grad_bias_.data();
+  const size_t out_dim = out_dim_;
   for (size_t i = 0; i < batch; ++i) {
-    for (size_t j = 0; j < out_dim_; ++j) {
-      grad_bias_[j] += grad_output.At(i, j);
-    }
+    const double* go_row = go + i * out_dim;
+    for (size_t j = 0; j < out_dim; ++j) gb[j] += go_row[j];
   }
   Tensor weight_t = ws.NewTensor({out_dim_, in_dim_});
   TransposedInto(weight_, &weight_t);

@@ -59,17 +59,26 @@ void Sgd::Step(const std::vector<Tensor*>& params,
     velocity_.reserve(params.size());
     for (Tensor* p : params) velocity_.emplace_back(p->shape());
   }
+  // Hyper-parameters are copied to locals so stores through the raw
+  // pointers cannot be assumed to change them, which lets the loops
+  // vectorize; each element gets the same expression as before.
+  const double lr = learning_rate_;
+  const double wd = weight_decay_;
+  const double mu = momentum_;
   for (size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
     const Tensor& g = *grads[i];
     if (SkipNonFiniteGrad(g)) continue;
-    for (size_t k = 0; k < p.size(); ++k) {
-      double gk = g[k] + weight_decay_ * p[k];
-      if (momentum_ > 0.0) {
-        velocity_[i][k] = momentum_ * velocity_[i][k] + gk;
-        gk = velocity_[i][k];
+    const size_t n = params[i]->size();
+    const double* gp = g.data();
+    double* p = params[i]->data();
+    if (mu > 0.0) {
+      double* v = velocity_[i].data();
+      for (size_t k = 0; k < n; ++k) {
+        v[k] = mu * v[k] + (gp[k] + wd * p[k]);
+        p[k] -= lr * v[k];
       }
-      p[k] -= learning_rate_ * gk;
+    } else {
+      for (size_t k = 0; k < n; ++k) p[k] -= lr * (gp[k] + wd * p[k]);
     }
   }
   MaybePoisonStep(params);
@@ -105,17 +114,29 @@ void Adam::Step(const std::vector<Tensor*>& params,
   ++step_count_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_count_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_count_));
+  // Locals for the same reason as in Sgd::Step.
+  const double lr = learning_rate_;
+  const double wd = weight_decay_;
+  const double eps = epsilon_;
+  const double b1 = beta1_;
+  const double b2 = beta2_;
+  const double one_minus_b1 = 1.0 - b1;
+  const double one_minus_b2 = 1.0 - b2;
   for (size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
     const Tensor& g = *grads[i];
     if (SkipNonFiniteGrad(g)) continue;
-    for (size_t k = 0; k < p.size(); ++k) {
-      const double gk = g[k] + weight_decay_ * p[k];
-      m_[i][k] = beta1_ * m_[i][k] + (1.0 - beta1_) * gk;
-      v_[i][k] = beta2_ * v_[i][k] + (1.0 - beta2_) * gk * gk;
-      const double m_hat = m_[i][k] / bc1;
-      const double v_hat = v_[i][k] / bc2;
-      p[k] -= learning_rate_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+    const size_t n = params[i]->size();
+    const double* gp = g.data();
+    double* p = params[i]->data();
+    double* m = m_[i].data();
+    double* v = v_[i].data();
+    for (size_t k = 0; k < n; ++k) {
+      const double gk = gp[k] + wd * p[k];
+      m[k] = b1 * m[k] + one_minus_b1 * gk;
+      v[k] = b2 * v[k] + one_minus_b2 * gk * gk;
+      const double m_hat = m[k] / bc1;
+      const double v_hat = v[k] / bc2;
+      p[k] -= lr * m_hat / (std::sqrt(v_hat) + eps);
     }
   }
   MaybePoisonStep(params);

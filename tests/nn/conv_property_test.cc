@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -244,6 +245,9 @@ struct Conv1dCase {
   const char* name;
   size_t in_channels, out_channels, kernel, stride, padding, dilation;
   size_t batch, t_in;
+  /// Put +inf and -inf into the input, so that the cached input Backward
+  /// reads is non-finite and some gradients become inf or NaN.
+  bool inf_input = false;
 };
 
 // Names the case in gtest output (the default dumps the struct's bytes,
@@ -257,8 +261,12 @@ TEST_P(Conv1dByteExactTest, ForwardAndBackwardMatchReferenceBytes) {
   Rng rng(c.in_channels * 1000 + c.kernel * 100 + c.padding * 10 + c.stride);
   Conv1d conv(c.in_channels, c.out_channels, c.kernel, &rng, c.stride,
               c.padding, c.dilation);
-  const Tensor x = Tensor::RandomNormal({c.batch, c.in_channels, c.t_in},
-                                        &rng);
+  Tensor x = Tensor::RandomNormal({c.batch, c.in_channels, c.t_in}, &rng);
+  if (c.inf_input) {
+    x.At(0, 0, 3) = std::numeric_limits<double>::infinity();
+    x.At(c.batch - 1, c.in_channels - 1, c.t_in - 2) =
+        -std::numeric_limits<double>::infinity();
+  }
   const Tensor w = *conv.Params()[0];
   const Tensor b = *conv.Params()[1];
 
@@ -298,7 +306,15 @@ INSTANTIATE_TEST_SUITE_P(
         // Padding wider than the effective kernel: whole taps fall outside
         // the input for the edge outputs.
         Conv1dCase{"wide_pad", 2, 3, 3, 1, 5, 1, 2, 4},
-        Conv1dCase{"wide_pad_strided", 2, 3, 2, 2, 4, 2, 2, 3}),
+        Conv1dCase{"wide_pad_strided", 2, 3, 2, 2, 4, 2, 2, 3},
+        // One input channel: every fused tap run is as short as the taps.
+        Conv1dCase{"in1", 1, 4, 3, 1, 1, 1, 2, 12},
+        // Stride 2 with dilation 1 and padding: the fused path with
+        // partial tap runs at both edges.
+        Conv1dCase{"s2p1d1k4", 3, 2, 4, 2, 1, 1, 2, 13},
+        // Non-finite cached input on both Backward paths.
+        Conv1dCase{"inf_input", 6, 16, 5, 1, 2, 1, 2, 20, true},
+        Conv1dCase{"inf_input_dilated", 16, 16, 3, 1, 2, 2, 2, 20, true}),
     [](const auto& param_info) { return std::string(param_info.param.name); });
 
 Tensor RefConv2dForward(const Tensor& input, const Tensor& weight,

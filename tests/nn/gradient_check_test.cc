@@ -1,4 +1,4 @@
-#include "nn/gradient_check.h"
+#include "support/gradient_check.h"
 
 #include <gtest/gtest.h>
 

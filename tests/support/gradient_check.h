@@ -1,5 +1,5 @@
-#ifndef TASFAR_NN_GRADIENT_CHECK_H_
-#define TASFAR_NN_GRADIENT_CHECK_H_
+#ifndef TASFAR_TESTS_SUPPORT_GRADIENT_CHECK_H_
+#define TASFAR_TESTS_SUPPORT_GRADIENT_CHECK_H_
 
 #include "nn/sequential.h"
 #include "nn/trainer.h"
@@ -25,4 +25,4 @@ GradCheckResult CheckGradients(Sequential* model, const Tensor& inputs,
 
 }  // namespace tasfar
 
-#endif  // TASFAR_NN_GRADIENT_CHECK_H_
+#endif  // TASFAR_TESTS_SUPPORT_GRADIENT_CHECK_H_

@@ -1307,6 +1307,22 @@ TEST_F(EngineTest, SecondRunHitsTheCacheWithIdenticalResults) {
   EXPECT_EQ(warm.findings, cold.findings);
 }
 
+TEST_F(EngineTest, PathsThatFlattenAlikeKeepSeparateCacheEntries) {
+  // Mapping '/' to '_' would give both files one cache entry; each run
+  // would then miss on one of them (and two workers would write it).
+  fs::create_directories(root_ / "src/a");
+  WriteFile("src/a_b.cc", "void Ab() {}\n");
+  WriteFile("src/a/b.cc", "void B() {}\n");
+  const AnalyzeResult cold = Run();
+  ASSERT_FALSE(cold.io_error) << cold.error;
+  EXPECT_EQ(cold.cache_misses, kFixtureSources + 2);
+
+  const AnalyzeResult warm = Run();
+  ASSERT_FALSE(warm.io_error) << warm.error;
+  EXPECT_EQ(warm.cache_hits, kFixtureSources + 2);
+  EXPECT_EQ(warm.cache_misses, 0);
+}
+
 TEST_F(EngineTest, EditedFileMissesTheCache) {
   Run();
   WriteFile("src/core/sample.cc", Sample() + "\n// touched\n");

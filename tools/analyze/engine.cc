@@ -26,12 +26,22 @@ bool ReadFile(const fs::path& path, std::string* out) {
   return true;
 }
 
-/// Cache entry file for a repo-relative source path: slashes become '_'
-/// so every entry lives flat in the cache directory.
+/// Cache entry file for a repo-relative source path, flat in the cache
+/// directory. '%' and '/' are percent-encoded, which is injective: two
+/// distinct paths (say `src/a_b.cc` and `src/a/b.cc`) never share an
+/// entry, so no two scan workers write one file.
 fs::path CacheEntry(const std::string& cache_dir,
                     const std::string& rel_path) {
-  std::string name = rel_path;
-  std::replace(name.begin(), name.end(), '/', '_');
+  std::string name;
+  for (char c : rel_path) {
+    if (c == '%') {
+      name += "%25";
+    } else if (c == '/') {
+      name += "%2F";
+    } else {
+      name += c;
+    }
+  }
   return fs::path(cache_dir) / (name + ".facts");
 }
 

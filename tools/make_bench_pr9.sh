@@ -2,9 +2,10 @@
 # Assembles BENCH_PR9.json, the record of the float32 SIMD kernel backend
 # (docs/MEMORY.md §"Float32 compute mode"): real_time (ns) for the double
 # and f32 variants of the MatMul thread sweep and the MC-dropout Predict
-# sweep, plus the kernel-dispatch overhead micros. Both variants come from
-# the SAME run of each binary, so the recorded speedups are same-machine,
-# same-build ratios, not cross-run noise.
+# sweep, plus the kernel-dispatch overhead micros and the double training
+# rows (PDR and Dense train steps, ReLU forward+backward). Both variants
+# come from the SAME run of each binary, so the recorded speedups are
+# same-machine, same-build ratios, not cross-run noise.
 #
 # Usage:
 #   tools/make_bench_pr9.sh CORE_JSON NN_JSON OBS_JSON OUT
@@ -53,6 +54,10 @@ jq -n \
       speedup_20_1thread:
         speedup($core[0]; "BM_McDropoutPredictThreads/20/1/real_time";
                           "BM_McDropoutPredictF32Threads/20/1/real_time")
+    },
+    double_training: {
+      rows: (rows($nn[0]; "BM_PdrTrainStep") + rows($nn[0]; "BM_DenseTrainStep")
+             + rows($nn[0]; "BM_ReluForwardBackward"))
     },
     dispatch_overhead: {
       rows: rows($obs[0]; "BM_SimdKernel"),
